@@ -20,8 +20,6 @@ from .fields import (
     cyclotomic_polynomial,
     frobenius,
     is_square,
-    matrix_charpoly,
-    matrix_det,
     multiplicative_order,
     primitive_root_of_unity,
     sqrt,
@@ -52,7 +50,6 @@ from .laurent import (
     SeriesRing,
     Tower,
     TowerElement,
-    TwistedSeries,
     TwistedSeriesRing,
     central_indeterminate,
     hensel_sqrt,
@@ -61,7 +58,6 @@ from .laurent import (
 from .ordered import (
     Lattice,
     QuotientStructure,
-    lattice_sum,
     lex_compare,
     quotient,
     smith_normal_form,

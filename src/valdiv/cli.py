@@ -1,7 +1,9 @@
 """Command-line surface.
 
 Commands: cd, classify, sk1-witness, verdict, example, selftest.
-Exit codes: 0 success, 1 verification failure, 2 input error.
+Exit codes: 0 success, 1 verification failure, 2 input error.  Every error,
+input errors from argument parsing included, is reported as a JSON object
+with an "error" key.
 """
 
 from __future__ import annotations
@@ -10,8 +12,9 @@ import argparse
 import json
 import sys
 
-from .errors import ParseError, UndefinedValueError, ValdivError
+from .errors import ParseError, UndefinedValueError, UsageError, ValdivError
 from .grammar import parse_algebra, parse_profile, print_algebra
+from .ordered import is_prime
 from .pipeline import SCHEMA_VERSION, run_example, selftest, sk1_witness_batch
 from .profiles import profile_from_tower
 from .sk1 import compute_zeta, verdict
@@ -44,8 +47,39 @@ def _text_lines(value, indent):
         yield f"{indent}{value}"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises UsageError where argparse would print usage and exit."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _prime(text: str) -> int:
+    if not (text.isdigit() and is_prime(int(text))):
+        raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
+    return int(text)
+
+
+def _positive(text: str) -> int:
+    if not (text.isdigit() and int(text) >= 1):
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _sizes(text: str) -> dict[str, int]:
+    sizes = {}
+    for piece in text.split(",") if text else []:
+        name, _, count = piece.partition("=")
+        if not count.strip().isdigit():
+            raise argparse.ArgumentTypeError(f"bad sizes entry {piece!r}")
+        sizes[name.strip()] = int(count)
+    return sizes
+
+
 def _add_common(parser):
-    parser.add_argument("--precision", type=int, default=32, help="relative series precision")
+    parser.add_argument(
+        "--precision", type=_positive, default=32, help="relative series precision"
+    )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized routines")
     parser.add_argument(
         "--format", choices=("json", "text"), default="json", help="output format"
@@ -53,7 +87,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    root = argparse.ArgumentParser(
+    root = _Parser(
         prog="valdiv",
         description="Exact invariants of valued division algebras over Laurent towers",
     )
@@ -61,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cd = sub.add_parser("cd", help="cohomological dimension of a profile")
     p_cd.add_argument("--profile", required=True)
-    p_cd.add_argument("--q", type=int, required=True)
+    p_cd.add_argument("--q", type=_prime, required=True)
     _add_common(p_cd)
 
     p_cls = sub.add_parser("classify", help="ramification report of an algebra")
@@ -76,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verdict", help="triviality verdict for an algebra")
     p_ver.add_argument("--profile", default=None, help="override the tower-derived profile")
     p_ver.add_argument("--algebra", required=True)
-    p_ver.add_argument("--q", type=int, required=True)
+    p_ver.add_argument("--q", type=_prime, required=True)
     _add_common(p_ver)
 
     p_ex = sub.add_parser("example", help="run a packaged worked example")
@@ -86,6 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_self = sub.add_parser("selftest", help="run the property suites")
     p_self.add_argument(
         "--sizes",
+        type=_sizes,
         default="",
         help="comma-separated name=count overrides, e.g. lattice=50,norms=10",
     )
@@ -95,15 +130,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    fmt = "json"
     try:
+        args = build_parser().parse_args(argv)
+        fmt = args.format
         return _dispatch(args)
-    except (ParseError, UndefinedValueError) as exc:
-        _emit({"schema": SCHEMA_VERSION, "error": str(exc)}, args.format)
-        return 2
     except ValdivError as exc:
-        _emit({"schema": SCHEMA_VERSION, "error": str(exc)}, args.format)
-        return 1
+        _emit({"schema": SCHEMA_VERSION, "error": str(exc)}, fmt)
+        return 2 if isinstance(exc, (ParseError, UndefinedValueError, UsageError)) else 1
 
 
 def _dispatch(args) -> int:
@@ -170,14 +204,7 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "selftest":
-        sizes = {}
-        if args.sizes:
-            for piece in args.sizes.split(","):
-                name, _, count = piece.partition("=")
-                if not count:
-                    raise ParseError(f"bad sizes entry {piece!r}")
-                sizes[name.strip()] = int(count)
-        payload = selftest(seed=args.seed, sizes=sizes)
+        payload = selftest(seed=args.seed, sizes=args.sizes)
         _emit(payload, args.format)
         return 0 if payload["ok"] else 1
 

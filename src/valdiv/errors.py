@@ -73,6 +73,10 @@ class UndefinedValueError(ValdivError):
     """A quantity is undefined under the stated hypotheses."""
 
 
+class UsageError(ValdivError):
+    """A command-line argument is missing, malformed or out of range."""
+
+
 class ParseError(ValdivError):
     """Positioned syntax error in a description string."""
 

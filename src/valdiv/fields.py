@@ -26,6 +26,24 @@ class IrreducibilityWarning(UserWarning):
     """Modulus irreducibility over Q is a trusted precondition."""
 
 
+def _binary_power(base, e: int, one):
+    """base**e by square-and-multiply; a negative e inverts base first.
+
+    Serves every element type with `*` and `inv()`.  Products are always
+    formed as acc * base, which fixes the windows of truncated series.
+    """
+    if e < 0:
+        base, e = base.inv(), -e
+    acc = one
+    while e:
+        if e & 1:
+            acc = acc * base
+        e >>= 1
+        if e:
+            base = base * base
+    return acc
+
+
 class FieldElement:
     """Element of a Field; arithmetic dispatches to the owning field."""
 
@@ -89,17 +107,7 @@ class FieldElement:
         return self.inv() * other
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        acc = self.field.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _binary_power(self, exponent, self.field.one())
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -645,6 +653,16 @@ class FieldAutomorphism:
         self.gen_image = gen_image
         self._order = None
 
+    def __eq__(self, other):
+        return (
+            isinstance(other, FieldAutomorphism)
+            and other.field == self.field
+            and other.gen_image == self.gen_image
+        )
+
+    def __hash__(self):
+        return hash(("automorphism", hash(self.field)))
+
     def __call__(self, x: FieldElement) -> FieldElement:
         if x.field != self.field:
             raise DescriptorMismatchError("element from a different field")
@@ -698,88 +716,3 @@ def frobenius(field: ExtensionField) -> FieldAutomorphism:
     if field.size() is None:
         raise UnsupportedFieldError("Frobenius needs a finite field")
     return FieldAutomorphism(field, field.generator() ** field.char)
-
-
-# ---------------------------------------------------------------------------
-# small exact matrix helpers over a Field (used for charpoly/det oracles)
-
-
-def matrix_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0])
-    field = a[0][0].field
-    out = [[field.zero() for _ in range(m)] for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            acc = field.zero()
-            for t in range(k):
-                acc = acc + a[i][t] * b[t][j]
-            out[i][j] = acc
-    return out
-
-
-def matrix_identity(field, n):
-    return [
-        [field.one() if i == j else field.zero() for j in range(n)] for i in range(n)
-    ]
-
-
-def matrix_det(rows) -> FieldElement:
-    """Determinant by division-based Gaussian elimination (exact)."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    field = rows[0][0].field
-    mat = [list(r) for r in rows]
-    det = field.one()
-    for col in range(n):
-        piv = next((i for i in range(col, n) if not mat[i][col].is_zero()), None)
-        if piv is None:
-            return field.zero()
-        if piv != col:
-            mat[col], mat[piv] = mat[piv], mat[col]
-            det = -det
-        det = det * mat[col][col]
-        inv = mat[col][col].inv()
-        for i in range(col + 1, n):
-            if mat[i][col].is_zero():
-                continue
-            f = mat[i][col] * inv
-            mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
-    return det
-
-
-def matrix_charpoly(rows) -> list[FieldElement]:
-    """Coefficients (low to high, monic) of det(X*I - A); cofactor expansion."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix must be square")
-    if n > 6:
-        raise UnsupportedFieldError("cofactor charpoly limited to n <= 6")
-    field = rows[0][0].field
-    # entries as polynomials in X over the field
-    entries = [
-        [
-            ([-rows[i][j], field.one()] if i == j else [-rows[i][j]])
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-
-    def minor_det(rs, cs):
-        if len(rs) == 1:
-            return entries[rs[0]][cs[0]]
-        total = []
-        sign = 1
-        for idx, c in enumerate(cs):
-            e = entries[rs[0]][c]
-            sub = minor_det(rs[1:], cs[:idx] + cs[idx + 1 :])
-            term = _poly_mul(field, e, sub)
-            if sign < 0:
-                term = [-x for x in term]
-            total = _poly_add(field, total, term)
-            sign = -sign
-        return total
-
-    poly = minor_det(tuple(range(n)), tuple(range(n)))
-    poly += [field.zero()] * (n + 1 - len(poly))
-    return poly

@@ -27,7 +27,8 @@ from .fields import (
     primitive_root_of_unity,
 )
 from .laurent import LaurentSeries, Tower, TowerElement
-from .profiles import INF, FieldProfile, ResidueBase
+from .ordered import is_prime
+from .profiles import INF, FieldProfile, ResidueBase, residue_base
 from .symbol import SymbolAlgebra
 
 _TOKEN_RE = re.compile(
@@ -160,7 +161,10 @@ def _parse_field_base(tokens: _Tokens) -> Field:
     if name == "Q":
         base: Field = QQ
     elif re.fullmatch(r"F\d+", name):
-        base = PrimeField(int(name[1:]))
+        p = int(name[1:])
+        if not is_prime(p):
+            tokens._fail(f"{name} is not a prime field", tokens.items[tokens.idx - 1][2])
+        base = PrimeField(p)
     else:
         tokens._fail(f"unknown field base {name!r}")
     if tokens.accept("sym", "["):
@@ -248,19 +252,7 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
         tokens.expect("sym", ")")
         base = ResidueBase("declared", cd_table=tuple(sorted(entries)))
     else:
-        field = _parse_field_base(tokens)
-        if field is QQ or isinstance(field, PrimeField) or isinstance(field, ExtensionField):
-            size = field.size()
-            if size is None:
-                base = ResidueBase("rational")
-            else:
-                p = field.char
-                degree = 1
-                while p**degree < size:
-                    degree += 1
-                base = ResidueBase("finite", p=p, extension_degree=degree)
-        else:
-            tokens._fail(f"unsupported profile base {name!r}")
+        base = residue_base(_parse_field_base(tokens))
     names = _parse_tower_suffix(tokens)
     return FieldProfile(base, tuple(names))
 
@@ -326,7 +318,7 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             tokens.next()
             inner = _parse_expression(tokens, tower)
             tokens.expect("sym", ")")
-            mono = tower.monomial(tuple(exps), _coerce_coef(tower, coef))
+            mono = tower.monomial(tuple(exps), tower.base.element(coef))
             rest = mono * inner
             if tokens.accept("sym", "*"):
                 return rest * _parse_term(tokens, tower, 1)
@@ -337,13 +329,7 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             break
     if not saw:
         tokens._fail("expected a term")
-    return tower.monomial(tuple(exps), _coerce_coef(tower, coef))
-
-
-def _coerce_coef(tower: Tower, coef: Fraction):
-    if tower.base.char:
-        return tower.base.element(coef)
-    return tower.base.element(coef)
+    return tower.monomial(tuple(exps), tower.base.element(coef))
 
 
 def _parse_marker(tokens: _Tokens, tower: Tower) -> tuple[tuple[int, ...], int]:

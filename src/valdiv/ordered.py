@@ -366,6 +366,3 @@ def quotient(big: Lattice, small: Lattice) -> QuotientStructure:
         raise InfiniteIndexError("change-of-basis matrix is singular")
     return QuotientStructure(tuple(d for d in diag if d != 1))
 
-
-def lattice_sum(a: Lattice, b: Lattice) -> Lattice:
-    return a + b

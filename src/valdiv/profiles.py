@@ -156,18 +156,21 @@ class FieldProfile:
         return self.base.describe() + "".join(f"(({v}))" for v in self.variables)
 
 
+def residue_base(field) -> ResidueBase:
+    """Residue base of a concrete field: finite F_(p^k), or rational Q."""
+    size = field.size()
+    if size is None:
+        return ResidueBase("rational")
+    p = field.char
+    degree = 1
+    while p**degree < size:
+        degree += 1
+    return ResidueBase("finite", p=p, extension_degree=degree)
+
+
 def profile_from_tower(tower: Tower) -> FieldProfile:
     """Profile of a concrete arithmetic tower (finite or rational base)."""
-    size = tower.base.size()
-    if size is not None:
-        p = tower.base.char
-        degree = 1
-        while p**degree < size:
-            degree += 1
-        base = ResidueBase("finite", p=p, extension_degree=degree)
-    else:
-        base = ResidueBase("rational")
-    return FieldProfile(base, tuple(tower.variables))
+    return FieldProfile(residue_base(tower.base), tuple(tower.variables))
 
 
 def declared_profile(cd_table: dict[int, object], variables=()) -> FieldProfile:

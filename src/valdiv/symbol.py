@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhaustedError,
     UnsupportedFieldError,
 )
-from .fields import FieldElement, has_order
+from .fields import FieldElement, _binary_power, has_order
 from .laurent import INFINITE_VALUATION, Tower, TowerElement, unit_is_square
 from .ordered import Lattice, QuotientStructure, quotient
 
@@ -367,17 +367,7 @@ class AlgebraElement:
         )
 
     def __pow__(self, exponent: int):
-        if exponent < 0:
-            return self.inv() ** (-exponent)
-        acc = self.algebra.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
-        return acc
+        return _binary_power(self, exponent, self.algebra.one())
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs.values())
@@ -466,7 +456,7 @@ class AlgebraElement:
             for r in range(n)
         ]
         poly = _lpoly_det(alg, entries)
-        poly = poly + [_l_zero_vec(alg) for _ in range(n + 1 - len(poly))]
+        poly = poly + [_l_zero(alg) for _ in range(n + 1 - len(poly))]
         out = []
         for coeff in poly:
             for comp in coeff[1:]:
@@ -560,10 +550,6 @@ def _l_zero(alg) -> list[TowerElement]:
     return [alg.tower.zero() for _ in range(alg.degree)]
 
 
-def _l_zero_vec(alg) -> list[TowerElement]:
-    return _l_zero(alg)
-
-
 def _l_one(alg) -> list[TowerElement]:
     out = _l_zero(alg)
     out[0] = alg.tower.one()
@@ -642,7 +628,7 @@ def _l_matrix_agrees(A, B) -> bool:
 
 
 def _l_det(alg, mat):
-    """Determinant over L by signed permutation expansion (degree <= 4)."""
+    """Determinant over L by signed permutation expansion (n! terms)."""
     n = alg.degree
     total = _l_zero(alg)
     for perm in permutations(range(n)):
@@ -702,7 +688,7 @@ def _lpoly_det(alg, entries):
         if _perm_sign(perm) < 0:
             term = [_l_neg(alg, u) for u in term]
         width = max(len(total), len(term))
-        total = total + [_l_zero_vec(alg) for _ in range(width - len(total))]
+        total = total + [_l_zero(alg) for _ in range(width - len(total))]
         total = [
             _l_add(alg, u, term[i]) if i < len(term) else u
             for i, u in enumerate(total)

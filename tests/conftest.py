@@ -5,33 +5,27 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fractions import Fraction
 
-from valdiv.fields import QQ, PrimeField, primitive_root_of_unity
-from valdiv.laurent import Tower
+from valdiv.pipeline import (
+    build_quaternion_example,
+    build_rational_quaternion,
+    build_symbol_example,
+)
 from valdiv.symbol import SymbolAlgebra
 
 
 def make_symbol_xy(n: int, p: int, prec: int = 16) -> SymbolAlgebra:
     """(x, y) symbol of degree n over F_p((x))((y)) with the smallest omega."""
-    field = PrimeField(p)
-    tower = Tower(field, ["x", "y"], default_prec=prec)
-    omega = primitive_root_of_unity(field, n)
-    return SymbolAlgebra(tower, n, omega, tower.var("x"), tower.var("y"))
+    return build_symbol_example(n, p, prec)
 
 
 def make_quaternion_f5(prec: int = 16) -> SymbolAlgebra:
     """(2, t) over F5((t)): 2 is a non-square unit, t a uniformizer."""
-    field = PrimeField(5)
-    tower = Tower(field, ["t"], default_prec=prec)
-    omega = field.element(-1)
-    return SymbolAlgebra(tower, 2, omega, tower.constant(2), tower.var("t"))
+    return build_quaternion_example(prec)
 
 
 def make_rational_quaternion() -> SymbolAlgebra:
     """(-1, -1) over Q with the trivial valuation (height-0 tower)."""
-    tower = Tower(QQ, [])
-    return SymbolAlgebra(
-        tower, 2, QQ.element(-1), tower.constant(-1), tower.constant(-1)
-    )
+    return build_rational_quaternion()
 
 
 def random_algebra_element(alg, rng, terms=2, span=2, allow_negative=True):

@@ -177,3 +177,61 @@ def left_regular_det(e):
             f = mat[r][col] * inv
             mat[r] = [x - f * y for x, y in zip(mat[r], mat[col])]
     return det
+
+
+def matrix_det(rows):
+    """Determinant of a square matrix over a field by Gaussian elimination."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    field = rows[0][0].field
+    mat = [list(r) for r in rows]
+    det = field.one()
+    for col in range(n):
+        piv = next((i for i in range(col, n) if not mat[i][col].is_zero()), None)
+        if piv is None:
+            return field.zero()
+        if piv != col:
+            mat[col], mat[piv] = mat[piv], mat[col]
+            det = -det
+        det = det * mat[col][col]
+        inv = mat[col][col].inv()
+        for i in range(col + 1, n):
+            f = mat[i][col] * inv
+            mat[i] = [x - f * y for x, y in zip(mat[i], mat[col])]
+    return det
+
+
+def matrix_charpoly(rows):
+    """Coefficients (low to high, monic) of det(X*I - A) by cofactor expansion."""
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix must be square")
+    zero, one = rows[0][0].field.zero(), rows[0][0].field.one()
+
+    def entry(i, j):
+        return [-rows[i][j], one] if i == j else [-rows[i][j]]
+
+    def add(p, q):
+        width = max(len(p), len(q))
+        p, q = p + [zero] * (width - len(p)), q + [zero] * (width - len(q))
+        return [x + y for x, y in zip(p, q)]
+
+    def mul(p, q):
+        out = [zero] * (len(p) + len(q) - 1)
+        for i, x in enumerate(p):
+            for j, y in enumerate(q):
+                out[i + j] = out[i + j] + x * y
+        return out
+
+    def minor(rs, cs):
+        if len(rs) == 1:
+            return entry(rs[0], cs[0])
+        total = [zero]
+        for idx, c in enumerate(cs):
+            term = mul(entry(rs[0], c), minor(rs[1:], cs[:idx] + cs[idx + 1 :]))
+            total = add(total, term if idx % 2 == 0 else [-x for x in term])
+        return total
+
+    poly = minor(tuple(range(n)), tuple(range(n)))
+    return (poly + [zero] * (n + 1 - len(poly)))[: n + 1]

@@ -186,3 +186,44 @@ def test_witness_batch_determinism():
     b = sk1_witness_batch(alg, count=5, seed=11)
     assert a == b
     assert all(w["verified"] for w in a)
+
+
+def _assert_input_error(capsys, *argv):
+    code, out = _run(capsys, *argv)
+    assert code == 2
+    assert "error" in json.loads(out)
+
+
+def test_verdict_non_prime_q_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "verdict", "--algebra",
+        "symbol(n=3, omega=auto, a=x, b=y) over F7((x))((y))", "--q", "4",
+    )
+
+
+def test_cd_non_prime_q_is_input_error(capsys):
+    _assert_input_error(capsys, "cd", "--profile", "decl(cd2=1)((x))", "--q", "4")
+
+
+def test_zero_precision_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "classify", "--precision", "0", "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F7((t))",
+    )
+
+
+def test_selftest_bad_size_count_is_input_error(capsys):
+    _assert_input_error(capsys, "selftest", "--sizes", "lattice=abc")
+
+
+def test_non_integer_q_is_json_input_error(capsys):
+    _assert_input_error(
+        capsys, "verdict", "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F7((t))", "--q", "two",
+    )
+
+
+def test_non_prime_field_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "classify", "--algebra", "symbol(n=2, omega=auto, a=t, b=3) over F8((t))"
+    )

@@ -18,8 +18,6 @@ from valdiv.fields import (
     frobenius,
     has_order,
     is_square,
-    matrix_charpoly,
-    matrix_det,
     multiplicative_order,
     poly_eval,
     poly_gcd,
@@ -27,7 +25,7 @@ from valdiv.fields import (
     sqrt,
 )
 
-from oracles import brute_force_squares
+from oracles import brute_force_squares, matrix_charpoly, matrix_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)

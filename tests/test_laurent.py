@@ -3,6 +3,7 @@ import random
 import pytest
 
 from valdiv.errors import (
+    DescriptorMismatchError,
     FieldConstructionError,
     NotAUnitError,
     NotInvertibleError,
@@ -355,3 +356,13 @@ def test_series_str_forms():
     assert str(s) == "2 + t"
     u = (tow.one() - t).inv()
     assert str(u).endswith("O(t^4)")
+
+
+def test_series_reject_operands_of_other_rings():
+    twisted = twisted_ring()
+    plain = t_f5().var("t").payload
+    for a, b in ((twisted.t(), 2), (plain, 3), (twisted.t(), plain)):
+        with pytest.raises(DescriptorMismatchError):
+            a * b
+        with pytest.raises(DescriptorMismatchError):
+            a + b
