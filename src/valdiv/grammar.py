@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import FieldConstructionError, ParseError
 from .fields import (
     QQ,
     ExtensionField,
@@ -172,9 +172,13 @@ def _parse_field_base(tokens: _Tokens) -> Field:
         tokens.expect("sym", "]")
         tokens.expect("sym", "/")
         tokens.expect("sym", "(")
+        pos = tokens.items[tokens.idx - 1][2]
         poly = _parse_poly(tokens, base, var)
         tokens.expect("sym", ")")
-        return ExtensionField(base, poly, var=var)
+        try:
+            return ExtensionField(base, poly, var=var)
+        except FieldConstructionError as exc:
+            tokens._fail(str(exc), pos)
     return base
 
 

@@ -18,6 +18,7 @@ from .laurent import Tower, TwistedSeriesRing, central_indeterminate
 from .ordered import Lattice, lex_compare, quotient
 from .profiles import FieldProfile, ResidueBase, declared_profile, profile_from_tower
 from .sk1 import (
+    _cd_not_exactly_3,
     certify_norm_one,
     commutator,
     compute_zeta,
@@ -94,10 +95,7 @@ def _example_completion_profile() -> dict:
         "verdict": {
             "conclusion": "not_applicable",
             "case": None,
-            "reasoning": (
-                f"cd_q(F) is {cd.describe()}, not exactly 3; assert an exact"
-                " value to enable the rank rules"
-            ),
+            "reasoning": _cd_not_exactly_3(cd),
         },
     }
 

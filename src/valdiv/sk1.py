@@ -514,6 +514,14 @@ def _is_squarefree(n: int) -> bool:
     return True
 
 
+def _cd_not_exactly_3(cd) -> str:
+    """Reasoning of the verdict when cd_q(F) is not exactly 3."""
+    return (
+        f"cd_q(F) is {cd.describe()}, not exactly 3; assert an exact value"
+        " to enable the rank rules"
+    )
+
+
 def verdict(
     profile,
     report: RamificationReport,
@@ -612,8 +620,7 @@ def verdict(
         return Verdict(
             "not_applicable",
             None,
-            f"cd_q(F) is {cd.describe()}, not exactly 3; assert an exact value"
-            " to enable the rank rules",
+            _cd_not_exactly_3(cd),
             inputs,
         )
     return Verdict(

@@ -5,7 +5,9 @@ omega is a primitive n-th root of unity in the coefficient field.  Elements
 are kept in normal form on the basis {i^k j^l}.  The reduced norm, trace and
 characteristic polynomial are computed through an explicit degree-n splitting
 representation over L = F[alpha]/(alpha^n - a), whose defining relations are
-verified once per algebra.
+verified once per algebra.  The characteristic polynomial comes from
+Berkowitz's division-free recurrence over L, so truncated coefficients are
+never inverted; the reduced norm is read from its constant term.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
 the tower's value group Z^m (outermost variable = most significant).
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from math import gcd
 
 from .errors import (
@@ -310,12 +311,12 @@ def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
 class AlgebraElement:
     """Normal-form element sum c_kl i^k j^l with tower-field coefficients."""
 
-    __slots__ = ("algebra", "coeffs", "_nrd")
+    __slots__ = ("algebra", "coeffs", "_prd")
 
     def __init__(self, algebra: SymbolAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {kl: c for kl, c in coeffs.items() if not c.is_zero()}
-        self._nrd = None
+        self._prd = None
 
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
@@ -408,22 +409,9 @@ class AlgebraElement:
         return mat
 
     def nrd(self) -> TowerElement:
-        """Reduced norm: determinant of the splitting representation.
-
-        The determinant is computed in L by permutation expansion and must be
-        alpha-free; a certified alpha component is a construction bug.
-        """
-        if self._nrd is None:
-            alg = self.algebra
-            alg.verify_splitting_relations()
-            det = _l_det(alg, self.splitting_matrix())
-            for comp in det[1:]:
-                if not comp.indistinguishable_from_zero():
-                    raise InvariantBreachError(
-                        "reduced norm acquired an alpha component"
-                    )
-            self._nrd = det[0]
-        return self._nrd
+        """Reduced norm: (-1)^n times the constant term of `prd`."""
+        c0 = self.prd()[0]
+        return -c0 if self.algebra.degree % 2 else c0
 
     def trd(self) -> TowerElement:
         """Reduced trace: trace of the splitting representation (alpha-free)."""
@@ -439,33 +427,25 @@ class AlgebraElement:
         return total[0]
 
     def prd(self) -> list[TowerElement]:
-        """Reduced characteristic polynomial (low-to-high, monic, degree n)."""
-        alg = self.algebra
-        alg.verify_splitting_relations()
-        n = alg.degree
-        mat = self.splitting_matrix()
-        entries = [
-            [
-                (
-                    [_l_neg(alg, mat[r][c]), _l_one(alg)]
-                    if r == c
-                    else [_l_neg(alg, mat[r][c])]
-                )
-                for c in range(n)
-            ]
-            for r in range(n)
-        ]
-        poly = _lpoly_det(alg, entries)
-        poly = poly + [_l_zero(alg) for _ in range(n + 1 - len(poly))]
-        out = []
-        for coeff in poly:
-            for comp in coeff[1:]:
-                if not comp.indistinguishable_from_zero():
-                    raise InvariantBreachError(
-                        "characteristic polynomial acquired an alpha component"
-                    )
-            out.append(coeff[0])
-        return out
+        """Reduced characteristic polynomial (low-to-high, monic, degree n).
+
+        The characteristic polynomial of the splitting representation is
+        computed in L and must be alpha-free; a certified alpha component is a
+        construction bug.  The result is cached; callers get a copy.
+        """
+        if self._prd is None:
+            alg = self.algebra
+            alg.verify_splitting_relations()
+            out = []
+            for coeff in _l_charpoly(alg, self.splitting_matrix()):
+                for comp in coeff[1:]:
+                    if not comp.indistinguishable_from_zero():
+                        raise InvariantBreachError(
+                            "characteristic polynomial acquired an alpha component"
+                        )
+                out.append(coeff[0])
+            self._prd = out
+        return list(self._prd)
 
     def inv(self) -> "AlgebraElement":
         """Inverse via the reduced characteristic polynomial.
@@ -602,18 +582,19 @@ def _l_scalar_matrix(alg, c: TowerElement):
     return mat
 
 
+def _l_dot(alg, us, vs):
+    """Sum of the products u * v over L, skipping zero factors."""
+    acc = _l_zero(alg)
+    for u, v in zip(us, vs):
+        if _l_is_zero(u) or _l_is_zero(v):
+            continue
+        acc = _l_add(alg, acc, _l_mul(alg, u, v))
+    return acc
+
+
 def _l_matrix_mul(alg, A, B):
-    n = alg.degree
-    out = [[_l_zero(alg) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        for c in range(n):
-            acc = _l_zero(alg)
-            for t in range(n):
-                if _l_is_zero(A[r][t]) or _l_is_zero(B[t][c]):
-                    continue
-                acc = _l_add(alg, acc, _l_mul(alg, A[r][t], B[t][c]))
-            out[r][c] = acc
-    return out
+    columns = list(zip(*B))
+    return [[_l_dot(alg, row, col) for col in columns] for row in A]
 
 
 def _l_matrix_power(alg, A, e: int):
@@ -627,73 +608,36 @@ def _l_matrix_agrees(A, B) -> bool:
     return all(_l_agrees(x, y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
-def _l_det(alg, mat):
-    """Determinant over L by signed permutation expansion (n! terms)."""
-    n = alg.degree
-    total = _l_zero(alg)
-    for perm in permutations(range(n)):
-        term = None
-        for r in range(n):
-            entry = mat[r][perm[r]]
-            if _l_is_zero(entry):
-                term = None
-                break
-            term = entry if term is None else _l_mul(alg, term, entry)
-        if term is None:
-            continue
-        if _perm_sign(perm) < 0:
-            term = _l_neg(alg, term)
-        total = _l_add(alg, total, term)
-    return total
+def _l_charpoly(alg, mat):
+    """det(X*I - mat) over L, low to high, by Berkowitz's recurrence.
 
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        cur = start
-        while not seen[cur]:
-            seen[cur] = True
-            cur = perm[cur]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _lpoly_mul(alg, p, q):
-    """Product of polynomials (in X) with L-vector coefficients."""
-    out = [_l_zero(alg) for _ in range(len(p) + len(q) - 1)]
-    for ip, u in enumerate(p):
-        if _l_is_zero(u):
-            continue
-        for iq, v in enumerate(q):
-            if _l_is_zero(v):
-                continue
-            out[ip + iq] = _l_add(alg, out[ip + iq], _l_mul(alg, u, v))
-    return out
-
-
-def _lpoly_det(alg, entries):
-    """det of a matrix with L[X]-entries by permutation expansion."""
-    n = len(entries)
-    total = [_l_zero(alg)]
-    for perm in permutations(range(n)):
-        term = [_l_one(alg)]
-        for r in range(n):
-            term = _lpoly_mul(alg, term, entries[r][perm[r]])
-        if _perm_sign(perm) < 0:
-            term = [_l_neg(alg, u) for u in term]
-        width = max(len(total), len(term))
-        total = total + [_l_zero(alg) for _ in range(width - len(total))]
-        total = [
-            _l_add(alg, u, term[i]) if i < len(term) else u
-            for i, u in enumerate(total)
-        ]
-    return total
+    Step k multiplies the (high-to-low) polynomial of the leading k x k block
+    M by the lower-triangular Toeplitz matrix with first column
+    (1, -a_kk, -R*C, -R*M*C, ..., -R*M^(k-1)*C), where R and C are row k and
+    column k cut to M (S. J. Berkowitz, Inf. Process. Lett. 18, 1984).  Only
+    ring operations are used.
+    """
+    poly = [_l_one(alg)]
+    for k in range(len(mat)):
+        block = [row[:k] for row in mat[:k]]
+        row = mat[k][:k]
+        vec = [mat[r][k] for r in range(k)]
+        column = [None, _l_neg(alg, mat[k][k])]
+        for step in range(k):
+            if step:
+                vec = [_l_dot(alg, b, vec) for b in block]
+            column.append(_l_neg(alg, _l_dot(alg, row, vec)))
+        # the leading 1s of column and poly contribute without a product
+        new = [poly[0]]
+        for i in range(1, k + 2):
+            acc = column[i] if i > k else _l_add(alg, column[i], poly[i])
+            if i > 1:
+                acc = _l_add(
+                    alg, acc, _l_dot(alg, column[i - 1 : 0 : -1], poly[1:i])
+                )
+            new.append(acc)
+        poly = new
+    return poly[::-1]
 
 
 def _is_prime_power(n: int) -> bool:

@@ -227,3 +227,21 @@ def test_non_prime_field_is_input_error(capsys):
     _assert_input_error(
         capsys, "classify", "--algebra", "symbol(n=2, omega=auto, a=t, b=3) over F8((t))"
     )
+
+
+def test_reducible_modulus_is_input_error(capsys):
+    _assert_input_error(
+        capsys,
+        "classify",
+        "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F5[w]/(w^2+4)((t))",
+    )
+
+
+def test_non_monic_modulus_is_input_error(capsys):
+    _assert_input_error(
+        capsys,
+        "classify",
+        "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F5[w]/(2*w^2+4)((t))",
+    )

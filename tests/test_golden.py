@@ -3,8 +3,11 @@
 `data/golden_series.json` holds, for seeded inputs, every coefficient and
 every window bound (at every nesting level) of twisted products and inverses
 over F9((t, frobenius)), tower products, inverses and powers at heights 1-2,
-Hensel square roots and powers of symbol-algebra elements.  Errors are
-recorded by type.  `data/example_<n>.json` holds the exact output of
+Hensel square roots and powers of symbol-algebra elements.
+`data/golden_norms.json` holds the same for the reduced norm, characteristic
+polynomial, trace and inverse of symbol-algebra elements of degree 1-5 over
+height-1 and height-2 towers, with exact and truncated coefficients.  Errors
+are recorded by type.  `data/example_<n>.json` holds the exact output of
 `valdiv example <n> --format json`.  Kernel rewrites must reproduce both
 exactly; the data was written once, from the code before the rewrites.
 """
@@ -17,7 +20,13 @@ import pytest
 
 from valdiv.cli import main
 from valdiv.errors import ValdivError
-from valdiv.fields import ExtensionField, FieldElement, PrimeField, frobenius
+from valdiv.fields import (
+    ExtensionField,
+    FieldElement,
+    PrimeField,
+    frobenius,
+    primitive_root_of_unity,
+)
 from valdiv.laurent import Tower, TowerElement, TwistedSeriesRing, hensel_sqrt
 from valdiv.symbol import AlgebraElement, SymbolAlgebra
 
@@ -33,6 +42,8 @@ def canon(value):
     """JSON form of a result: every coefficient and every window bound."""
     if value is None:
         return None
+    if isinstance(value, list):
+        return [canon(v) for v in value]
     if isinstance(value, FieldElement):
         return str(value)
     if isinstance(value, TowerElement):
@@ -181,9 +192,87 @@ def build_corpus() -> dict:
     return out
 
 
+def _norm_algebras():
+    """Degree 1-5 symbol algebras over height-1 and height-2 towers."""
+    out = []
+    for n, p, b in [(1, 5, 2), (2, 7, 3), (3, 7, 2), (4, 5, 2), (5, 11, 2)]:
+        field = PrimeField(p)
+        tower = Tower(field, ["t"], default_prec=6)
+        omega = primitive_root_of_unity(field, n)
+        a = tower.var("t")
+        if n == 2:  # (b, t): a non-square unit and a uniformizer
+            a, b = tower.constant(b), a
+        else:
+            b = tower.constant(b) + a
+        out.append((f"h1-n{n}-F{p}", SymbolAlgebra(tower, n, omega, a, b)))
+    for n, p in [(1, 5), (2, 3), (3, 7), (4, 5), (5, 11)]:
+        field = PrimeField(p)
+        tower = Tower(field, ["x", "y"], default_prec=4)
+        omega = primitive_root_of_unity(field, n)
+        x, y = tower.var("x"), tower.var("y")
+        a = x + y if n == 3 else x
+        out.append((f"h2-n{n}-F{p}", SymbolAlgebra(tower, n, omega, a, y)))
+    return out
+
+
+def _norm_elements(alg, rng):
+    """Zero, one, exact sparse elements and elements with truncated coefficients.
+
+    A truncated coefficient is a monomial times the inverse of a non-monomial
+    tower element; the last element is a difference of two equal truncated
+    elements, which certifies no term at all.
+    """
+    tower = alg.tower
+    n = alg.degree
+    p = tower.base.char
+    h = tower.height
+    divisor = tower.one()
+    for name in tower.variables:
+        divisor = divisor + tower.var(name)
+    inverse = divisor.inv()
+
+    def sparse(truncated):
+        e = alg.zero()
+        for _ in range(rng.randint(1, 3)):
+            exps = tuple(rng.randint(-1, 1) for _ in range(h))
+            coeff = tower.monomial(exps, rng.randint(1, p - 1))
+            if truncated and rng.random() < 0.7:
+                coeff = coeff * inverse
+            e = e + alg.monomial(rng.randrange(n), rng.randrange(n), coeff)
+        return e
+
+    elements = [alg.zero(), alg.one()]
+    elements += [sparse(False) for _ in range(3)]
+    elements += [sparse(True) for _ in range(3)]
+    shadow = alg.one().scale(inverse) + alg.monomial(n - 1, 0, inverse)
+    elements.append(shadow - shadow)
+    return elements
+
+
+def build_norms_corpus() -> dict:
+    out: dict = {}
+    for label, alg in _norm_algebras():
+        rng = random.Random(f"norms:{label}")
+        for k, e in enumerate(_norm_elements(alg, rng)):
+            name = f"norms/{label}/{k}"
+            out[f"{name}/nrd"] = outcome(e.nrd)
+            out[f"{name}/prd"] = outcome(e.prd)
+            out[f"{name}/trd"] = outcome(e.trd)
+            out[f"{name}/inv"] = outcome(e.inv)
+    return out
+
+
 def test_golden_series_corpus():
     frozen = json.loads((DATA / "golden_series.json").read_text())
     computed = build_corpus()
+    assert sorted(computed) == sorted(frozen)
+    mismatched = [key for key in frozen if computed[key] != frozen[key]]
+    assert mismatched == []
+
+
+def test_golden_norms_corpus():
+    frozen = json.loads((DATA / "golden_norms.json").read_text())
+    computed = build_norms_corpus()
     assert sorted(computed) == sorted(frozen)
     mismatched = [key for key in frozen if computed[key] != frozen[key]]
     assert mismatched == []

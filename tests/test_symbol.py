@@ -198,7 +198,11 @@ def _solve_right_inverse(e):
 
 def test_left_regular_determinant_oracle():
     rng = random.Random(31)
-    for alg, samples in [(make_quaternion_f5(8), 8), (make_symbol_xy(3, 7, 6), 4)]:
+    for alg, samples in [
+        (make_quaternion_f5(8), 8),
+        (make_symbol_xy(3, 7, 6), 4),
+        (make_symbol_xy(5, 11, 6), 2),
+    ]:
         n = alg.degree
         for _ in range(samples):
             e = random_algebra_element(alg, rng, terms=2, span=1)
@@ -239,8 +243,14 @@ def test_trd_and_prd():
 
 def test_cayley_hamilton_in_the_algebra():
     rng = random.Random(41)
-    for alg in (make_quaternion_f5(), make_symbol_xy(3, 7)):
-        for _ in range(15):
+    for alg, samples in [
+        (make_quaternion_f5(), 15),
+        (make_symbol_xy(3, 7), 15),
+        (make_symbol_xy(5, 11, 6), 3),
+        (make_symbol_xy(6, 13, 6), 3),
+        (make_symbol_xy(7, 29, 6), 2),
+    ]:
+        for _ in range(samples):
             e = random_algebra_element(alg, rng)
             poly = e.prd()
             acc = alg.zero()
@@ -250,6 +260,19 @@ def test_cayley_hamilton_in_the_algebra():
                     power = power * e
                 acc = acc + power.scale(c)
             assert acc.indistinguishable_from_zero()
+
+
+def test_prd_returns_a_copy_of_its_cache():
+    alg = make_symbol_xy(3, 7)
+    e = alg.one() + alg.i() + alg.j()
+    poly, norm, inverse = list(e.prd()), e.nrd(), e.inv()
+    returned = e.prd()
+    returned[0] = alg.tower.zero()
+    returned.append(alg.tower.one())
+    assert e.prd() == poly
+    assert e.nrd() == norm
+    assert e.inv() == inverse
+    assert (e * e.inv()).agrees_to_precision(alg.one())
 
 
 def test_valuation_of_generators():
