@@ -73,8 +73,8 @@ class UndefinedValueError(ValdivError):
     """A quantity is undefined under the stated hypotheses."""
 
 
-class UsageError(ValdivError):
-    """A command-line argument is missing, malformed or out of range."""
+class UsageError(ValdivError, ValueError):
+    """An argument is missing, malformed or out of range (CLI or library)."""
 
 
 class ParseError(ValdivError):

@@ -18,6 +18,7 @@ from .errors import (
     FieldConstructionError,
     NotInvertibleError,
     UnsupportedFieldError,
+    UsageError,
 )
 from .ordered import is_prime
 
@@ -110,8 +111,6 @@ class FieldElement:
         return _binary_power(self, exponent, self.field.one())
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = self.field.element(other)
         if not isinstance(other, FieldElement):
             return NotImplemented
         return self.field == other.field and self.rep == other.rep
@@ -565,7 +564,7 @@ def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElemen
     over a finite extension the multiplicative structure is searched.
     """
     if n < 1:
-        raise ValueError("n must be >= 1")
+        raise UsageError("n must be >= 1")
     if n == 1:
         return field.one()
     if field.char and n % field.char == 0:

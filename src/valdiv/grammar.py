@@ -1,15 +1,16 @@
 """Description grammar for fields, towers, profiles, algebras and series.
 
-    field    := "Q" | "F"<p> [ "[" name "]" "/" "(" poly ")" ]
+    field    := "Q" | "F"<p> [ "[" name "]" "/" "(" expr ")" ]   (expr in name, powers >= 0)
     tower    := field ( "((" name "))" )*
     profile  := ( field-base | "Qp" "(" "p" "=" int ")" | "decl" "(" cd-list ")" ) tower-suffix
-    algebra  := "symbol" "(" "n" "=" int "," "omega" "=" (expr|"auto") ","
+    algebra  := "symbol" "(" "n" "=" int>=1 "," "omega" "=" (expr|"auto") ","
                  "a" "=" expr "," "b" "=" expr ")" "over" tower
     expr     := signed sum of products of integers, fractions and var^exp
     series   := expr with optional truncation markers O(v^k) / O(v^e*w^k)
 
-Parsers report positioned errors; printers emit the same grammar, and
-parse(print(x)) = x holds for every representable value.
+A description is parsed once, from one token stream, with one expression
+parser, so every error is positioned in the description; printers emit the
+same grammar, and parse(print(x)) = x holds for every representable value.
 """
 
 from __future__ import annotations
@@ -107,48 +108,6 @@ def _parse_int(tokens: _Tokens) -> int:
     return sign * int(tokens.expect("int"))
 
 
-def _parse_poly(tokens: _Tokens, base: Field, var: str) -> list:
-    """Integer-coefficient polynomial in var, returned as base coefficients."""
-    coeffs: dict[int, int] = {}
-    sign = 1
-    if tokens.accept("sym", "-"):
-        sign = -1
-    while True:
-        coef = 1
-        exp = 0
-        saw_factor = False
-        while True:
-            got = tokens.peek()
-            if got and got[0] == "int":
-                coef *= int(tokens.next()[1])
-                saw_factor = True
-            elif got and got[0] == "name" and got[1] == var:
-                tokens.next()
-                e = 1
-                if tokens.accept("sym", "^"):
-                    e = _parse_int(tokens)
-                exp += e
-                saw_factor = True
-            else:
-                break
-            if not tokens.accept("sym", "*"):
-                # allow juxtaposition only through '*'; stop at anything else
-                nxt = tokens.peek()
-                if not (nxt and (nxt[0] == "int" or (nxt[0] == "name" and nxt[1] == var))):
-                    break
-        if not saw_factor:
-            tokens._fail("expected a polynomial term")
-        coeffs[exp] = coeffs.get(exp, 0) + sign * coef
-        if tokens.accept("sym", "+"):
-            sign = 1
-        elif tokens.accept("sym", "-"):
-            sign = -1
-        else:
-            break
-    top = max(coeffs)
-    return [base.element(coeffs.get(k, 0)) for k in range(top + 1)]
-
-
 def parse_field(text: str) -> Field:
     tokens = _Tokens(text)
     field = _parse_field_base(tokens)
@@ -173,8 +132,14 @@ def _parse_field_base(tokens: _Tokens) -> Field:
         tokens.expect("sym", "/")
         tokens.expect("sym", "(")
         pos = tokens.items[tokens.idx - 1][2]
-        poly = _parse_poly(tokens, base, var)
+        payload = _parse_expression(tokens, Tower(base, [var])).payload
         tokens.expect("sym", ")")
+        if payload.bound is not None:
+            tokens._fail("a modulus cannot carry a truncation marker", pos)
+        if min(payload.coeffs, default=0) < 0:
+            tokens._fail(f"a modulus cannot have negative powers of {var}", pos)
+        top = max(payload.coeffs, default=0)
+        poly = [payload.coeffs.get(k, base.zero()) for k in range(top + 1)]
         try:
             return ExtensionField(base, poly, var=var)
         except FieldConstructionError as exc:
@@ -307,6 +272,8 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             num = int(tokens.next()[1])
             if tokens.accept("sym", "/"):
                 den = int(tokens.expect("int"))
+                if den == 0:
+                    tokens._fail("zero denominator", tokens.items[tokens.idx - 1][2])
                 coef *= Fraction(num, den)
             else:
                 coef *= num
@@ -448,35 +415,22 @@ def parse_algebra(text: str, default_prec: int = 32) -> SymbolAlgebra:
 def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
     tokens.expect("name", "symbol")
     tokens.expect("sym", "(")
-    fields: dict[str, object] = {}
     order = ["n", "omega", "a", "b"]
-    raw: dict[str, str] = {}
+    slots: dict[str, tuple[int, int]] = {}  # token index of the slot's start and delimiter
     for idx, key in enumerate(order):
         tokens.expect("name", key)
         tokens.expect("sym", "=")
-        # capture raw token span until ',' or ')' at depth 0
-        depth = 0
-        start = tokens.idx
+        # skip to the ',' or ')' at depth 0; slots are read once the tower is known
+        depth, start = 0, tokens.idx
         while True:
             got = tokens.peek()
             if got is None:
                 tokens._fail("unterminated algebra description")
-            kind, val = got
-            if kind == "sym" and val == "(":
-                depth += 1
-            elif kind == "sym" and val == ")":
-                if depth == 0:
-                    break
-                depth -= 1
-            elif kind == "sym" and val == "," and depth == 0:
+            if depth == 0 and got[1] in (",", ")"):
                 break
+            depth += {"(": 1, ")": -1}.get(got[1], 0)
             tokens.next()
-        end = tokens.idx
-        span_start = tokens.items[start][2]
-        span_end = (
-            tokens.items[end][2] if end < len(tokens.items) else len(tokens.text)
-        )
-        raw[key] = tokens.text[span_start:span_end].strip()
+        slots[key] = (start, tokens.idx)
         if idx < len(order) - 1:
             tokens.expect("sym", ",")
     tokens.expect("sym", ")")
@@ -484,18 +438,34 @@ def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
     base = _parse_field_base(tokens)
     names = _parse_tower_suffix(tokens)
     tower = Tower(base, names, default_prec=default_prec)
+    after_tower = tokens.idx
 
-    n = int(raw["n"])
-    a = parse_series(raw["a"], tower)
-    b = parse_series(raw["b"], tower)
-    if raw["omega"] == "auto":
+    def read(key, parse):
+        tokens.idx, end = slots[key]
+        value = parse(tokens)
+        if tokens.idx != end:
+            tokens._fail(f"trailing input starting at {tokens.peek()[1]!r}")
+        return value
+
+    def expression(tokens):
+        return _parse_expression(tokens, tower)
+
+    n = read("n", _parse_int)
+    if n < 1:
+        tokens._fail(f"n must be a positive integer, got {n}", tokens.items[slots["n"][0]][2])
+    a = read("a", expression)
+    b = read("b", expression)
+    start, end = slots["omega"]
+    if end == start + 1 and tokens.items[start][:2] == ("name", "auto"):
         omega = primitive_root_of_unity(tower.base, n)
     else:
-        omega_elem = parse_series(raw["omega"], tower)
-        v = omega_elem.valuation()
-        if v != tuple(0 for _ in range(tower.height)) and tower.height > 0:
-            raise ParseError("omega must be a constant of the coefficient field")
+        omega_elem = read("omega", expression)
+        if tower.height and omega_elem.valuation() != (0,) * tower.height:
+            tokens._fail(
+                "omega must be a constant of the coefficient field", tokens.items[start][2]
+            )
         omega = omega_elem.residue()
+    tokens.idx = after_tower
     return SymbolAlgebra(tower, n, omega, a, b)
 
 

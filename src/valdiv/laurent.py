@@ -20,6 +20,7 @@ from .errors import (
     NotInvertibleError,
     PrecisionExhaustedError,
     UnsupportedFieldError,
+    UsageError,
 )
 from .fields import (
     Field,
@@ -72,7 +73,7 @@ class SeriesRing:
         self, coeff_ring, var: str, default_prec: int = DEFAULT_PRECISION, sigma=None
     ):
         if default_prec < 1:
-            raise ValueError("precision must be >= 1")
+            raise UsageError("precision must be >= 1")
         if sigma is not None and sigma.field != coeff_ring:
             raise DescriptorMismatchError("automorphism acts on a different field")
         self.coeff_ring = coeff_ring
@@ -521,13 +522,6 @@ class TowerElement:
         """Iterated constant term; requires valuation >= 0 lexicographically."""
         return _payload_residue(self.payload, self.tower.base)
 
-    def valuation_exceeds(self, gamma) -> bool:
-        """Certified v(self) > gamma; raises when truncation leaves it open."""
-        gamma = tuple(gamma)
-        if len(gamma) != self.tower.height:
-            raise DescriptorMismatchError("comparison vector has wrong length")
-        return _payload_exceeds(self.payload, gamma)
-
     def certifies_zero_position(self) -> bool:
         """True when the constant-term position lies inside the certified window."""
         return _payload_certifies_origin(self.payload)
@@ -570,29 +564,6 @@ def _payload_residue(payload, base: Field) -> FieldElement:
     if 0 not in payload.coeffs:
         return base.zero()
     return _payload_residue(payload.coeffs[0], base)
-
-
-def _payload_exceeds(payload, gamma) -> bool:
-    if isinstance(payload, FieldElement):
-        # fully consumed vector: position equals gamma exactly
-        return payload.is_zero()
-    g0 = gamma[0]
-    if payload.bound is not None and payload.bound <= g0:
-        raise PrecisionExhaustedError(
-            f"window O({payload.ring.var}^{payload.bound}) cannot decide positions near {g0}"
-        )
-    for e in sorted(payload.coeffs):
-        c = payload.coeffs[e]
-        if e < g0:
-            if c.indistinguishable_from_zero():
-                raise PrecisionExhaustedError(
-                    f"coefficient at {payload.ring.var}^{e} is undecided"
-                )
-            return False
-        if e == g0:
-            if not _payload_exceeds(c, gamma[1:]):
-                return False
-    return True
 
 
 def _payload_certifies_origin(payload) -> bool:

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-from .errors import InfiniteIndexError, NotASubgroupError, RankMismatchError
+from .errors import InfiniteIndexError, NotASubgroupError, RankMismatchError, UsageError
 
 Vector = tuple[Fraction, ...]
 
@@ -282,7 +282,7 @@ class Lattice:
     def q_rank(self, q: int) -> int:
         """dim over F_q of L/qL, via the Smith form of the presentation."""
         if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+            raise UsageError(f"{q} is not prime")
         k = self.rational_rank
         if k == 0:
             return 0

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import UndefinedValueError
+from .errors import UndefinedValueError, UsageError
 from .laurent import Tower
 from .ordered import is_prime
 
@@ -131,13 +131,13 @@ class FieldProfile:
     def r_q(self, q: int) -> int:
         """q-rank of the value group Z^m: the height, for every prime q."""
         if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+            raise UsageError(f"{q} is not prime")
         return self.height
 
     def cd_q(self, q: int) -> CdResult:
         """Residue dimension plus one per Laurent layer."""
         if not is_prime(q):
-            raise ValueError(f"{q} is not prime")
+            raise UsageError(f"{q} is not prime")
         if self.residue_char and q == self.residue_char:
             raise UndefinedValueError(
                 f"cd_q undefined at q = {q}: equals the residue characteristic"

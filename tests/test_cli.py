@@ -245,3 +245,38 @@ def test_non_monic_modulus_is_input_error(capsys):
         "--algebra",
         "symbol(n=2, omega=auto, a=t, b=3) over F5[w]/(2*w^2+4)((t))",
     )
+
+
+def test_non_integer_degree_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "classify", "--algebra", "symbol(n=x, omega=auto, a=t, b=3) over F7((t))"
+    )
+
+
+def test_zero_degree_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "classify", "--algebra", "symbol(n=0, omega=auto, a=t, b=3) over F7((t))"
+    )
+
+
+def test_zero_denominator_is_input_error(capsys):
+    _assert_input_error(
+        capsys, "classify", "--algebra", "symbol(n=2, omega=auto, a=1/0, b=3) over F7((t))"
+    )
+
+
+def test_slot_error_column_counts_from_the_description(capsys):
+    code, out = _run(
+        capsys, "classify", "--algebra", "symbol(n=2, omega=auto, a=t+, b=3) over F7((t))"
+    )
+    assert code == 2
+    assert "col 28" in json.loads(out)["error"]
+
+
+def test_negative_power_in_modulus_is_input_error(capsys):
+    _assert_input_error(
+        capsys,
+        "classify",
+        "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F7[w]/(w^2+1+w^-1)((t))",
+    )

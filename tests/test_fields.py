@@ -192,3 +192,12 @@ def test_matrix_det_and_charpoly():
     assert matrix_det(singular).is_zero()
     with pytest.raises(ValueError):
         matrix_det([[QQ.one(), QQ.one()]])
+
+
+def test_field_elements_equal_only_field_elements():
+    f7 = PrimeField(7)
+    three = f7.element(3)
+    assert three != 3 and three != 10
+    assert 3 not in {three} and len({three, 3}) == 2
+    assert three == f7.element(10)
+    assert three + 1 == f7.element(4)

@@ -10,10 +10,20 @@ height-1 and height-2 towers, with exact and truncated coefficients.  Errors
 are recorded by type.  `data/example_<n>.json` holds the exact output of
 `valdiv example <n> --format json`.  Kernel rewrites must reproduce both
 exactly; the data was written once, from the code before the rewrites.
+
+`data/golden_grammar.json` holds description strings (every one in README
+and tests/, every one the benchmark's cli_requests workload sends, and seeded
+random integer moduli) with what the grammar made of them: the printed field,
+tower, profile, algebra or series, or the error type and message.  It was
+written before the grammar parsed each description once, and leaves out the
+errors that rewrite changes on purpose: errors inside an algebra slot (they
+now carry columns counted from the start of the description) and syntax
+errors inside a modulus (now the expression parser's).
 """
 
 import json
 import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -26,6 +36,15 @@ from valdiv.fields import (
     PrimeField,
     frobenius,
     primitive_root_of_unity,
+)
+from valdiv.grammar import (
+    parse_algebra,
+    parse_field,
+    parse_profile,
+    parse_series,
+    parse_tower,
+    print_algebra,
+    print_series,
 )
 from valdiv.laurent import Tower, TowerElement, TwistedSeriesRing, hensel_sqrt
 from valdiv.symbol import AlgebraElement, SymbolAlgebra
@@ -282,3 +301,33 @@ def test_golden_norms_corpus():
 def test_example_json_is_byte_identical(number, capsys):
     assert main(["example", str(number), "--format", "json"]) == 0
     assert capsys.readouterr().out == (DATA / f"example_{number}.json").read_text()
+
+
+def _parse_case(case):
+    kind, text, prec = case["kind"], case["text"], case.get("precision", 32)
+    if kind == "field":
+        return parse_field(text).describe()
+    if kind == "tower":
+        return parse_tower(text, default_prec=prec).describe()
+    if kind == "profile":
+        return parse_profile(text).describe()
+    if kind == "algebra":
+        return print_algebra(parse_algebra(text, default_prec=prec))
+    tower = parse_tower(case["tower"], default_prec=prec)
+    return print_series(parse_series(text, tower))
+
+
+def test_golden_grammar_corpus():
+    frozen = json.loads((DATA / "golden_grammar.json").read_text())
+    mismatched = []
+    for case in frozen:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Q moduli: irreducibility is trusted
+            try:
+                got = {"value": _parse_case(case)}
+            except ValdivError as exc:
+                got = {"error": type(exc).__name__, "message": str(exc)}
+        want = {k: case[k] for k in ("value", "error", "message") if k in case}
+        if got != want:
+            mismatched.append((case["text"], want, got))
+    assert mismatched == []

@@ -6,11 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from valdiv.errors import NormCertificateError
+from valdiv.errors import NormCertificateError, ValdivError
 from valdiv.fields import QQ, ExtensionField, PrimeField, has_order, primitive_root_of_unity
 from valdiv.grammar import parse_algebra, parse_series, parse_tower, print_algebra
-from valdiv.laurent import Tower, hensel_sqrt, unit_is_square
+from valdiv.laurent import SeriesRing, Tower, hensel_sqrt, unit_is_square
 from valdiv.ordered import Lattice
+from valdiv.profiles import declared_profile
 from valdiv.sk1 import certify_norm_one, commutator, decompose_norm_one, kappa
 from valdiv.symbol import SymbolAlgebra
 
@@ -150,3 +151,16 @@ def test_three_level_tower_valuations():
     assert e.valuation() == (0, 0, 1)
     assert (e * e).valuation() == (0, 0, 2)
     assert tower.monomial((0, 1, -3)).residue() == PrimeField(5).zero()
+
+
+def test_out_of_range_arguments_raise_library_errors():
+    profile = declared_profile({2: 1}, ("x",))
+    for call in [
+        lambda: profile.r_q(4),
+        lambda: profile.cd_q(4),
+        lambda: Lattice.from_generators(2, [[1, 0], [0, 1]]).q_rank(4),
+        lambda: SeriesRing(F3, "t", default_prec=0),
+        lambda: primitive_root_of_unity(F3, 0),
+    ]:
+        with pytest.raises(ValdivError):
+            call()
