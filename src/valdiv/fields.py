@@ -296,7 +296,7 @@ class ExtensionField(Field):
         if isinstance(base, ExtensionField) and isinstance(base.base, ExtensionField):
             raise FieldConstructionError("extension towers limited to depth 2")
         if base.size() is not None:
-            if self.degree <= 4 and not _is_irreducible_finite(base, self.modulus):
+            if not _is_irreducible_finite(self):
                 raise FieldConstructionError(
                     f"{self._poly_str(self.modulus)} is reducible over {base}"
                 )
@@ -464,9 +464,11 @@ def _poly_xgcd(field, a, b):
 
 
 def poly_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    """Monic gcd of two polynomials over the same field."""
+    """Monic gcd of two polynomials over the same field, by Euclid's algorithm."""
     field = (a or b)[0].field
-    g, _, _ = _poly_xgcd(field, a, b)
+    g, b = poly_trim(list(a)), poly_trim(list(b))
+    while b:
+        g, b = b, _poly_mod(field, g, b)
     if g:
         lead_inv = g[-1].inv()
         g = [c * lead_inv for c in g]
@@ -483,24 +485,22 @@ def poly_eval(coeffs, point):
     return acc
 
 
-def _is_irreducible_finite(base: Field, modulus) -> bool:
-    """Exhaustive irreducibility check over a finite field, degree <= 4."""
-    deg = len(modulus) - 1
-    if deg == 1:
-        return True
-    for el in base.elements():
-        if poly_eval(modulus, el).is_zero():
-            return False
-    if deg <= 3:
-        return True
-    # degree 4: also rule out quadratic factors
-    one = base.one()
-    for c0 in base.elements():
-        for c1 in base.elements():
-            cand = [c0, c1, one]
-            if not _poly_mod(base, list(modulus), cand):
-                return False
-    return True
+def _is_irreducible_finite(ring: ExtensionField) -> bool:
+    """Rabin's test (SIAM J. Comput. 9, 1980) for the modulus f of a finite base.
+
+    With q the base size and n = deg f, f is irreducible iff x^(q^n) = x mod f
+    and gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n.  The powers
+    are taken in F_q[x]/(f), whose multiplication needs no irreducibility.
+    """
+    n, q, x = ring.degree, ring.base.size(), ring.generator()
+    frob = [x]  # frob[k] = x^(q^k)
+    for _ in range(n):
+        frob.append(frob[-1] ** q)
+    if frob[n] != x:
+        return False
+    return all(
+        len(poly_gcd((frob[n // r] - x).rep, ring.modulus)) == 1 for r in _prime_factors(n)
+    )
 
 
 # ---------------------------------------------------------------------------

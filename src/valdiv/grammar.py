@@ -155,11 +155,19 @@ def print_field(field: Field) -> str:
 # towers and profiles
 
 
-def _parse_tower_suffix(tokens: _Tokens) -> list[str]:
-    names = []
+def _parse_tower_suffix(tokens: _Tokens, field: Field | None) -> list[str]:
+    """((v1))((v2))...: distinct names, none of them the generator of `field`."""
+    names: list[str] = []
+    generator = getattr(field, "var", None)
     while tokens.accept("sym", "("):
         tokens.expect("sym", "(")
-        names.append(tokens.expect("name"))
+        name = tokens.expect("name")
+        if name in names or name == generator:
+            owner = "an inner tower variable" if name in names else f"the generator of {field}"
+            tokens._fail(
+                f"tower variable {name!r} already names {owner}", tokens.items[tokens.idx - 1][2]
+            )
+        names.append(name)
         tokens.expect("sym", ")")
         tokens.expect("sym", ")")
     return names
@@ -168,7 +176,7 @@ def _parse_tower_suffix(tokens: _Tokens) -> list[str]:
 def parse_tower(text: str, default_prec: int = 32) -> Tower:
     tokens = _Tokens(text)
     base = _parse_field_base(tokens)
-    names = _parse_tower_suffix(tokens)
+    names = _parse_tower_suffix(tokens, base)
     tokens.done()
     return Tower(base, names, default_prec=default_prec)
 
@@ -188,7 +196,7 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
     got = tokens.peek()
     if got is None:
         tokens._fail("empty profile description")
-    name = got[1]
+    name, field = got[1], None
     if name == "Qp":
         tokens.next()
         tokens.expect("sym", "(")
@@ -221,8 +229,9 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
         tokens.expect("sym", ")")
         base = ResidueBase("declared", cd_table=tuple(sorted(entries)))
     else:
-        base = residue_base(_parse_field_base(tokens))
-    names = _parse_tower_suffix(tokens)
+        field = _parse_field_base(tokens)
+        base = residue_base(field)
+    names = _parse_tower_suffix(tokens, field)
     return FieldProfile(base, tuple(names))
 
 
@@ -272,8 +281,11 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             num = int(tokens.next()[1])
             if tokens.accept("sym", "/"):
                 den = int(tokens.expect("int"))
+                pos, p = tokens.items[tokens.idx - 1][2], tower.base.char
                 if den == 0:
-                    tokens._fail("zero denominator", tokens.items[tokens.idx - 1][2])
+                    tokens._fail("zero denominator", pos)
+                if p and den % p == 0:
+                    tokens._fail(f"denominator divisible by {p}", pos)
                 coef *= Fraction(num, den)
             else:
                 coef *= num
@@ -436,7 +448,7 @@ def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
     tokens.expect("sym", ")")
     tokens.expect("name", "over")
     base = _parse_field_base(tokens)
-    names = _parse_tower_suffix(tokens)
+    names = _parse_tower_suffix(tokens, base)
     tower = Tower(base, names, default_prec=default_prec)
     after_tower = tokens.idx
 

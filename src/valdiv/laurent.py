@@ -13,6 +13,8 @@ significant lex coordinate).
 
 from __future__ import annotations
 
+from math import inf
+
 from .errors import (
     DescriptorMismatchError,
     FieldConstructionError,
@@ -155,12 +157,6 @@ class LaurentSeries:
         """No certified nonzero coefficient anywhere."""
         return all(c.indistinguishable_from_zero() for c in self.coeffs.values())
 
-    def _effective_lead(self) -> int | None:
-        """Smallest exponent that could carry a nonzero coefficient."""
-        if self.coeffs:
-            return min(self.coeffs)
-        return self.bound  # None for exact zero
-
     def leading_exponent(self) -> int:
         """Valuation in this variable; raises on zero / undecided input."""
         if self.coeffs:
@@ -224,28 +220,9 @@ class LaurentSeries:
         self._check_ring(other)
         if self.is_zero() or other.is_zero():
             return self.ring.zero()
-        bounds = []
-        if self.bound is not None:
-            lead = other._effective_lead()
-            bounds.append(self.bound + (lead if lead is not None else 0))
-        if other.bound is not None:
-            lead = self._effective_lead()
-            bounds.append(other.bound + (lead if lead is not None else 0))
-        bound = min(bounds) if bounds else None
-        sigma = self.ring.sigma
-        right = other.coeffs
-        out: dict = {}
-        for e1, c1 in self.coeffs.items():
-            if sigma is not None:
-                twist = sigma.power(e1)
-                right = {e2: twist(c2) for e2, c2 in other.coeffs.items()}
-            for e2, c2 in right.items():
-                e = e1 + e2
-                if bound is not None and e >= bound:
-                    continue
-                prod = c1 * c2
-                out[e] = out[e] + prod if e in out else prod
-        return type(self)(self.ring, out, bound)
+        acc = [{}, None]
+        _mul_into(acc, self, other)
+        return _box(self.ring, acc)
 
     def scale(self, c) -> "LaurentSeries":
         """Multiply every coefficient by a constant of the coefficient ring."""
@@ -340,6 +317,74 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
+    """Add a*b, neither an exact zero, into acc = [coeffs, bound] of a's ring.
+
+    Over a field coeffs holds representatives, summed by the field's own _mul
+    and _add (a twisted ring applies sigma^e1 to the right factor's terms);
+    above it, one child accumulator per exponent.  A truncated factor bounds
+    the product at its bound plus the other's least exponent (its bound when
+    it has no terms), and acc keeps the least bound.  Under a bound the terms
+    are walked in order and stop there; exact products are walked unsorted.
+    """
+    out, bound = acc
+    rows, cols, limit, low = a.coeffs.items(), b.coeffs.items(), inf, 0
+    if bound is not None or a.bound is not None or b.bound is not None:
+        rows, cols = sorted(rows), sorted(cols)
+        low = cols[0][0] if cols else b.bound
+        if a.bound is not None:
+            a_bound = a.bound + low
+            bound = a_bound if bound is None or a_bound < bound else bound
+        if b.bound is not None:
+            b_bound = b.bound + (rows[0][0] if rows else a.bound)
+            bound = b_bound if bound is None or b_bound < bound else bound
+        acc[1] = limit = bound
+    ring = a.ring
+    field, sigma = ring.coeff_ring, ring.sigma
+    if not isinstance(field, Field):
+        for e1, c1 in rows:
+            if e1 + low >= limit:
+                break
+            for e2, c2 in cols:
+                e = e1 + e2
+                if e >= limit:
+                    break
+                child = out.get(e)
+                if child is None:
+                    child = out[e] = [{}, None]
+                _mul_into(child, c1, c2)
+        return
+    mul, add = field._mul, field._add
+    for e1, c1 in rows:
+        if e1 + low >= limit:
+            break
+        right = cols
+        if sigma is not None:
+            twist = sigma.power(e1)
+            right = [(e2, twist(c2)) for e2, c2 in cols]
+        r1 = c1.rep
+        for e2, c2 in right:
+            e = e1 + e2
+            if e >= limit:
+                break
+            r = mul(r1, c2.rep)
+            out[e] = add(out[e], r) if e in out else r
+
+
+def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
+    """The series of ring that acc holds, boxed in place; the constructor
+    drops zeros, exact-zero children and exponents at or above the bound."""
+    coeffs, bound = acc
+    inner = ring.coeff_ring
+    if isinstance(inner, Field):
+        for e, r in coeffs.items():
+            coeffs[e] = FieldElement(inner, r)
+    else:
+        for e, c in coeffs.items():
+            coeffs[e] = _box(inner, c)
+    return ring.series(coeffs, bound)
 
 
 class Tower:

@@ -235,3 +235,81 @@ def matrix_charpoly(rows):
 
     poly = minor(tuple(range(n)), tuple(range(n)))
     return (poly + [zero] * (n + 1 - len(poly)))[: n + 1]
+
+
+def is_irreducible_mod_p(coeffs, p):
+    """Irreducibility of a monic integer polynomial (low to high) over F_p.
+
+    Trial division by every monic polynomial of degree 1 .. deg/2, with plain
+    integer arithmetic mod p.
+    """
+    f = [c % p for c in coeffs]
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in product(range(p), repeat=d):
+            g = list(low) + [1]
+            rem = list(f)
+            for shift in range(n - d, -1, -1):
+                factor = rem[shift + d]
+                for i, c in enumerate(g):
+                    rem[shift + i] = (rem[shift + i] - factor * c) % p
+            if not any(rem):
+                return False
+    return True
+
+
+def series_plain(value):
+    """A field element as it is; a series as (coeffs, bound), nested."""
+    if not hasattr(value, "coeffs"):
+        return value
+    return ({e: series_plain(c) for e, c in value.coeffs.items()}, value.bound)
+
+
+def naive_series_product(a, b):
+    """a*b for two series of one ring, in the nested form of series_plain.
+
+    Every pair of terms is multiplied, children by recursion, and summed
+    term by term, with no ordering and no early stop.  A truncated factor
+    bounds the product at its bound plus the other factor's least exponent
+    (its bound when it has no terms); a twisted ring applies sigma^e1 to the
+    right-hand coefficient.  An exact zero factor gives an exact zero.
+    """
+    if not hasattr(a, "coeffs"):
+        return a * b
+    if (not a.coeffs and a.bound is None) or (not b.coeffs and b.bound is None):
+        return ({}, None)
+    bounds = []
+    for x, y in ((a, b), (b, a)):
+        if x.bound is not None:
+            bounds.append(x.bound + (min(y.coeffs) if y.coeffs else y.bound))
+    bound = min(bounds) if bounds else None
+    sigma = a.ring.sigma
+    out = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            e = e1 + e2
+            if bound is not None and e >= bound:
+                continue
+            prod = naive_series_product(c1, c2 if sigma is None else sigma.power(e1)(c2))
+            out[e] = _naive_sum(out[e], prod) if e in out else prod
+    return _naive_clean(out, bound)
+
+
+def _naive_sum(x, y):
+    if not isinstance(x, tuple):
+        return x + y
+    bounds = [b for b in (x[1], y[1]) if b is not None]
+    out = dict(x[0])
+    for e, c in y[0].items():
+        out[e] = _naive_sum(out[e], c) if e in out else c
+    return _naive_clean(out, min(bounds) if bounds else None)
+
+
+def _naive_clean(coeffs, bound):
+    """Drop terms at or above the bound, field zeros and exact-zero children."""
+    keep = {}
+    for e, c in coeffs.items():
+        exact_zero = c == ({}, None) if isinstance(c, tuple) else c.is_zero()
+        if (bound is None or e < bound) and not exact_zero:
+            keep[e] = c
+    return (keep, bound)

@@ -280,3 +280,39 @@ def test_negative_power_in_modulus_is_input_error(capsys):
         "--algebra",
         "symbol(n=2, omega=auto, a=t, b=3) over F7[w]/(w^2+1+w^-1)((t))",
     )
+
+
+def _input_error_message(capsys, algebra):
+    code, out = _run(capsys, "classify", "--algebra", algebra)
+    assert code == 2
+    return json.loads(out)["error"]
+
+
+def test_denominator_divisible_by_the_characteristic_is_positioned_input_error(capsys):
+    slot = _input_error_message(capsys, "symbol(n=2, omega=auto, a=1/7, b=3) over F7((t))")
+    assert slot == "denominator divisible by 7 (line 1, col 28)"
+    modulus = _input_error_message(
+        capsys, "symbol(n=2, omega=auto, a=t, b=3) over F7[w]/(w^2+1/7)((t))"
+    )
+    assert modulus == "denominator divisible by 7 (line 1, col 52)"
+
+
+def test_tower_variable_naming_the_field_generator_is_positioned_input_error(capsys):
+    clash = _input_error_message(
+        capsys, "symbol(n=2, omega=auto, a=t, b=3) over F7[t]/(t^2+1)((t))"
+    )
+    assert clash.startswith("tower variable 't' already names")
+    assert clash.endswith("(line 1, col 54)")
+    repeat = _input_error_message(
+        capsys, "symbol(n=2, omega=auto, a=x, b=3) over F7((x))((x))"
+    )
+    assert repeat.startswith("tower variable 'x' already names")
+    assert repeat.endswith("(line 1, col 48)")
+
+
+def test_reducible_modulus_of_degree_five_is_input_error(capsys):
+    # (w^2 + 1)(w^3 + 2): no root in F7, so only a test for every degree sees it
+    message = _input_error_message(
+        capsys, "symbol(n=2, omega=auto, a=t, b=3) over F7[w]/(w^5+w^3+2*w^2+2)((t))"
+    )
+    assert message.startswith("2 + 2*w^2 + w^3 + w^5 is reducible over F7")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -25,7 +26,7 @@ from valdiv.fields import (
     sqrt,
 )
 
-from oracles import brute_force_squares, matrix_charpoly, matrix_det
+from oracles import brute_force_squares, is_irreducible_mod_p, matrix_charpoly, matrix_det
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -88,6 +89,30 @@ def test_reducible_modulus_rejected_over_finite_fields():
         ExtensionField(F5, [-4, 0, 1])  # x^2 - 4 = (x-2)(x+2)
     with pytest.raises(FieldConstructionError):
         ExtensionField(F5, [1, 2, 1])  # (x+1)^2
+
+
+def test_irreducibility_matches_trial_division_at_every_degree():
+    def accepted(p, low):
+        try:
+            ExtensionField(PrimeField(p), list(low) + [1])
+        except FieldConstructionError:
+            return False
+        return True
+
+    rng = random.Random(5)
+    cases = [(2, low) for d in range(1, 8) for low in itertools.product(range(2), repeat=d)]
+    cases += [(3, low) for d in range(1, 5) for low in itertools.product(range(3), repeat=d)]
+    cases += [(p, [rng.randrange(p) for _ in range(d)]) for p in (5, 7) for d in (5, 6, 7)
+              for _ in range(40)]
+    wrong = [(p, low) for p, low in cases
+             if accepted(p, low) != is_irreducible_mod_p(list(low) + [1], p)]
+    assert wrong == []
+
+
+def test_reducible_modulus_without_roots_rejected_above_degree_four():
+    with pytest.raises(FieldConstructionError, match="is reducible over F7"):
+        ExtensionField(F7, [2, 0, 2, 1, 0, 1])  # (w^2 + 1)(w^3 + 2)
+    assert ExtensionField(F7, [3, 1, 0, 0, 0, 1]).degree == 5
 
 
 def test_primitive_root_examples():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -12,14 +13,17 @@ from valdiv.errors import (
 from valdiv.fields import QQ, ExtensionField, FieldAutomorphism, PrimeField, frobenius
 from valdiv.laurent import (
     INFINITE_VALUATION,
+    LaurentSeries,
+    SeriesRing,
     Tower,
+    TwistedSeries,
     TwistedSeriesRing,
     central_indeterminate,
     hensel_sqrt,
     unit_is_square,
 )
 
-from oracles import brute_force_squares
+from oracles import brute_force_squares, naive_series_product, series_plain
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -366,3 +370,56 @@ def test_series_reject_operands_of_other_rings():
             a * b
         with pytest.raises(DescriptorMismatchError):
             a + b
+
+
+# --- the product kernel against the naive pair loop ---------------------------
+
+F343 = ExtensionField(F7, [-2, 0, 0, 1], var="w")  # w^3 - 2 has no root in F7
+
+
+def _random_coefficient(field, rng):
+    if field == QQ:
+        return field.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    if field == F7:
+        return field.element(rng.randrange(7))
+    return field.element([rng.randrange(field.base.size()) for _ in range(field.degree)])
+
+
+def _random_series(ring, rng):
+    """Up to four terms at exponents -2..4, each child possibly O(v^k) alone;
+    exact, or truncated at -1..6 with no term kept at or above the bound."""
+    inner = ring.coeff_ring
+    coeffs = {}
+    for _ in range(rng.randint(0, 4)):
+        e = rng.randint(-2, 4)
+        if isinstance(inner, SeriesRing):
+            if rng.random() < 0.15:
+                coeffs[e] = inner.series({}, rng.randint(-1, 3))  # truncated zero
+            else:
+                coeffs[e] = _random_series(inner, rng)
+        else:
+            coeffs[e] = _random_coefficient(inner, rng)
+    bound = None if rng.random() < 0.4 else rng.randint(-1, 6)
+    return ring.series(coeffs, bound)
+
+
+@pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_product_matches_naive_pair_loop(field, height):
+    rng = random.Random(f"{field}/{height}")
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
+    for _ in range({1: 120, 2: 60, 3: 20}[height]):
+        a, b = _random_series(ring, rng), _random_series(ring, rng)
+        product = a * b
+        assert type(product) is LaurentSeries
+        assert series_plain(product) == naive_series_product(a, b)
+
+
+def test_twisted_product_matches_naive_pair_loop():
+    ring = twisted_ring()
+    rng = random.Random("F9((t, frobenius))")
+    for _ in range(200):
+        a, b = _random_series(ring, rng), _random_series(ring, rng)
+        product = a * b
+        assert type(product) is TwistedSeries
+        assert series_plain(product) == naive_series_product(a, b)
