@@ -9,9 +9,10 @@ prime field; that covers every coefficient domain this package constructs.
 from __future__ import annotations
 
 import itertools
+import operator
 import warnings
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .errors import (
     DescriptorMismatchError,
@@ -20,7 +21,7 @@ from .errors import (
     UnsupportedFieldError,
     UsageError,
 )
-from .ordered import is_prime
+from .ordered import _prime_factors, is_prime
 
 
 class IrreducibilityWarning(UserWarning):
@@ -507,41 +508,43 @@ def _is_irreducible_finite(ring: ExtensionField) -> bool:
 # roots of unity, squares, automorphisms
 
 
-def multiplicative_order(x: FieldElement, bound: int = 10_000) -> int:
+def _order_dividing(x: FieldElement, m: int) -> int:
+    """ord(x), given x^m = 1: each prime of m is stripped while the power stays 1."""
+    one = x.field.one()
+    for ell in _prime_factors(m):
+        while m % ell == 0 and x ** (m // ell) == one:
+            m //= ell
+    return m
+
+
+def multiplicative_order(x: FieldElement) -> int:
+    """ord(x) in the multiplicative group of its field.
+
+    Over F_q the primes of q - 1 are stripped while the power stays 1.  Over
+    Q and its extensions of total degree d, phi(ord) <= d gives ord <= 2d^2,
+    and the first 2d^2 powers are walked (x^lcm(1..2d^2) would grow without
+    bound when x is no root of unity, which raises UnsupportedFieldError).
+    """
     if x.is_zero():
         raise NotInvertibleError("0 has no multiplicative order")
+    field, one = x.field, x.field.one()
+    size = field.size()
+    if size is not None:
+        return _order_dividing(x, size - 1)
+    d = 1
+    while isinstance(field, ExtensionField):
+        d, field = d * field.degree, field.base
     acc = x
-    for k in range(1, bound + 1):
-        if acc == x.field.one():
+    for k in range(1, 2 * d * d + 1):
+        if acc == one:
             return k
         acc = acc * x
-    raise UnsupportedFieldError(f"order of {x} exceeds search bound {bound}")
+    raise UnsupportedFieldError(f"{x} is not a root of unity")
 
 
 def has_order(x: FieldElement, n: int) -> bool:
-    """ord(x) == n, checking x^n = 1 and all maximal proper power divisors."""
-    if x.is_zero():
-        return False
-    if x**n != x.field.one():
-        return False
-    for ell in _prime_factors(n):
-        if x ** (n // ell) == x.field.one():
-            return False
-    return True
-
-
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
+    """ord(x) == n: x^n = 1 and no prime of n can be stripped."""
+    return not x.is_zero() and x**n == x.field.one() and _order_dividing(x, n) == n
 
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
@@ -559,9 +562,11 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
 def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElement:
     """A root of unity of exact order n.
 
-    Over a prime field the smallest representative is returned; over Q the
-    cyclotomic extension Q[var]/(Phi_n) is built and its generator returned;
-    over a finite extension the multiplicative structure is searched.
+    Over F_q the least one by sort_key: zeta = h^((q-1)/n), for the first h
+    in elements() order with ord(zeta) = n, generates the n-th roots, whose
+    elements of order n are the zeta^k with gcd(k, n) = 1.  Over Q the
+    generator of Q[var]/(Phi_n) is returned; over an extension of Q the
+    generator powers and their negatives are tried.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -577,12 +582,13 @@ def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElemen
             raise FieldConstructionError(
                 f"{field} has no element of order {n}; rebuild over an extension"
             )
-        if size > 10_000:
-            raise UnsupportedFieldError("field too large for exhaustive search")
-        for el in sorted(field.elements(), key=lambda e: e.sort_key()):
-            if not el.is_zero() and has_order(el, n):
-                return el
-        raise FieldConstructionError(f"no element of order {n} found in {field}")
+        roots = (h ** ((size - 1) // n) for h in field.elements() if not h.is_zero())
+        zeta = next(z for z in roots if _order_dividing(z, n) == n)
+        powers = itertools.accumulate(itertools.repeat(zeta, n - 1), operator.mul)
+        return min(
+            (z for k, z in enumerate(powers, 1) if gcd(k, n) == 1),
+            key=FieldElement.sort_key,
+        )
     if isinstance(field, RationalField):
         if n == 2:
             return field.element(-1)
@@ -622,7 +628,14 @@ def is_square(x: FieldElement) -> bool:
 
 
 def sqrt(x: FieldElement) -> FieldElement | None:
-    """A square root of x, or None; exact witness for is_square."""
+    """A square root of x, or None; exact witness for is_square.
+
+    Over F_q, with q - 1 = 2^s * t and t odd, Tonelli-Shanks (Cohen, A Course
+    in Computational Algebraic Number Theory, Alg. 1.5.1) keeps root^2 = x*b
+    and halves the order of b with powers of z^t, z the first non-square in
+    elements() order.  When q = 3 mod 4, b = 1 at once, root = x^((q+1)/4)
+    and no z is sought.  min(root, -root) by sort_key is returned.
+    """
     field = x.field
     if field.char == 2:
         raise UnsupportedFieldError("characteristic 2 square theory unsupported")
@@ -631,15 +644,24 @@ def sqrt(x: FieldElement) -> FieldElement | None:
     if not is_square(x):
         return None
     size = field.size()
-    if size is not None:
-        if size > 10_000:
-            raise UnsupportedFieldError("field too large for exhaustive sqrt")
-        for el in field.elements():
-            if el * el == x:
-                return el
-        return None
-    v = x.rep
-    return field.element(Fraction(isqrt(v.numerator), isqrt(v.denominator)))
+    if size is None:
+        v = x.rep
+        return field.element(Fraction(isqrt(v.numerator), isqrt(v.denominator)))
+    one, s, t = field.one(), 0, size - 1
+    while t % 2 == 0:
+        s, t = s + 1, t // 2
+    y = x ** (t // 2)
+    root, b = y * x, y * y * x
+    if b != one:
+        c = next(h for h in field.elements() if not is_square(h)) ** t
+    while b != one:
+        i, b2 = 1, b * b
+        while b2 != one:
+            i, b2 = i + 1, b2 * b2
+        g = c ** (1 << (s - i - 1))
+        root, c, s = root * g, g * g, i
+        b = b * c
+    return min(root, -root, key=FieldElement.sort_key)
 
 
 class FieldAutomorphism:

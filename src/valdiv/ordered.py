@@ -33,15 +33,21 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
+def _prime_factors(n: int):
+    """The distinct prime factors of n >= 1, ascending, by trial division."""
     d = 2
     while d * d <= n:
         if n % d == 0:
-            return False
-        d += 1
-    return True
+            yield d
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        yield n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and next(_prime_factors(n)) == n
 
 
 def lex_compare(v: Sequence, w: Sequence) -> int:

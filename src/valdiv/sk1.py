@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .errors import (
     CharPolyMismatchError,
@@ -24,7 +25,7 @@ from .errors import (
     PrecisionExhaustedError,
 )
 from .laurent import INFINITE_VALUATION
-from .ordered import QuotientStructure
+from .ordered import QuotientStructure, _prime_factors
 from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra
 
 
@@ -497,23 +498,6 @@ def compute_zeta(
     )
 
 
-def _is_power_of(n: int, q: int) -> bool:
-    if n < 1:
-        return False
-    while n % q == 0:
-        n //= q
-    return n == 1
-
-
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
 def _cd_not_exactly_3(cd) -> str:
     """Reasoning of the verdict when cd_q(F) is not exactly 3."""
     return (
@@ -550,7 +534,7 @@ def verdict(
             " hypothesis fails",
             inputs,
         )
-    q_primary = _is_power_of(deg, q) or deg == 1
+    q_primary = all(r == q for r in _prime_factors(deg))
     cd = profile.cd_q(q)
     r_q = profile.r_q(q)
     inputs.update({"r_q": r_q, "cd_q": cd.describe()})
@@ -581,7 +565,7 @@ def verdict(
             " the value groups to coincide and the group collapses",
             inputs,
         )
-    if _is_squarefree(deg):
+    if prod(_prime_factors(deg)) == deg:
         return Verdict(
             "trivial",
             "squarefree_index",

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .fields import FieldElement, _binary_power, has_order
 from .laurent import INFINITE_VALUATION, Tower, TowerElement, unit_is_square
-from .ordered import Lattice, QuotientStructure, quotient
+from .ordered import Lattice, QuotientStructure, _prime_factors, quotient
 
 
 class SymbolAlgebra:
@@ -235,7 +235,7 @@ class SymbolAlgebra:
         if n == 1:
             is_division = True
             notes.append("degree 1: the algebra is its own base field")
-        elif totally_ramified and _is_prime_power(n):
+        elif totally_ramified and len(list(_prime_factors(n))) == 1:
             is_division = True
             notes.append(
                 "totally ramified with defect 1 and prime-power degree over an"
@@ -638,19 +638,6 @@ def _l_charpoly(alg, mat):
             new.append(acc)
         poly = new
     return poly[::-1]
-
-
-def _is_prime_power(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            while n % d == 0:
-                n //= d
-            return n == 1
-        d += 1
-    return True
 
 
 @dataclass(frozen=True)

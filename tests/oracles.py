@@ -5,6 +5,7 @@ direct definitions, with no shared code paths with the library kernels.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from math import gcd, prod
 
@@ -313,3 +314,34 @@ def _naive_clean(coeffs, bound):
         if (bound is None or e < bound) and not exact_zero:
             keep[e] = c
     return (keep, bound)
+
+
+def smallest_element_of_order(field, n):
+    """The least element of exact multiplicative order n, by sort_key.
+
+    Walks the elements in sorted order and the powers x, x^2, ... of each one
+    by repeated multiplication, giving up on x past x^n.
+    """
+    one = field.one()
+    for x in sorted(field.elements(), key=lambda e: e.sort_key()):
+        if x.is_zero():
+            continue
+        acc, k = x, 1
+        while acc != one and k < n:
+            acc, k = acc * x, k + 1
+        if acc == one and k == n:
+            return x
+    return None
+
+
+def square_roots(x):
+    """Every y with y * y == x, sorted by sort_key, by squaring every element."""
+    return _square_roots_table(x.field).get(x, [])
+
+
+@lru_cache(maxsize=None)
+def _square_roots_table(field):
+    table = {}
+    for y in sorted(field.elements(), key=lambda e: e.sort_key()):
+        table.setdefault(y * y, []).append(y)
+    return table

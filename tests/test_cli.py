@@ -62,6 +62,17 @@ def test_classify_command(capsys):
     assert payload["invariant_factors"] == [3, 3]
 
 
+def test_classify_omega_auto_over_a_field_above_ten_thousand_elements(capsys):
+    code, out = _run(
+        capsys,
+        "classify",
+        "--algebra",
+        "symbol(n=2, omega=auto, a=t, b=3) over F10007((t))",
+    )
+    assert code == 0
+    assert json.loads(out)["algebra"] == "symbol(n=2, omega=10006, a=t, b=3) over F10007((t))"
+
+
 def test_witness_command(capsys):
     code, out = _run(
         capsys,

@@ -26,7 +26,14 @@ from valdiv.fields import (
     sqrt,
 )
 
-from oracles import brute_force_squares, is_irreducible_mod_p, matrix_charpoly, matrix_det
+from oracles import (
+    brute_force_squares,
+    is_irreducible_mod_p,
+    matrix_charpoly,
+    matrix_det,
+    smallest_element_of_order,
+    square_roots,
+)
 
 F5 = PrimeField(5)
 F7 = PrimeField(7)
@@ -133,6 +140,77 @@ def test_primitive_root_order_is_exact():
         assert multiplicative_order(w) == n
         for m in range(1, n):
             assert w**m != field.one()
+
+
+F10007 = PrimeField(10007)
+F101w = ExtensionField(PrimeField(101), [-2, 0, 1], var="w")  # 10,201 elements
+F81 = ExtensionField(F9, [F9.element([-1, -1]), 0, 1], var="v")  # v^2 = 1 + w, a non-square of F9
+
+
+@pytest.mark.parametrize(
+    "field, n, primes",
+    [
+        (F10007, 2, [2]),
+        (F10007, 5003, [5003]),
+        (F10007, 10006, [2, 5003]),
+        (F101w, 2, [2]),
+        (F101w, 8, [2]),
+        (F101w, 51, [3, 17]),
+        (F101w, 10200, [2, 3, 5, 17]),
+    ],
+    ids=str,
+)
+def test_roots_of_unity_above_ten_thousand_elements(field, n, primes):
+    w = primitive_root_of_unity(field, n)
+    assert w**n == field.one()
+    assert all(w ** (n // ell) != field.one() for ell in primes)
+    assert multiplicative_order(w) == n
+    if n == 2:
+        assert w == field.element(-1)
+
+
+@pytest.mark.parametrize(
+    "field, non_square, sample",
+    [
+        (F10007, -1, lambda rng: rng.randrange(10007)),
+        (F101w, [0, 1], lambda rng: [rng.randrange(101), rng.randrange(101)]),
+    ],
+    ids=["F10007", "F101w"],
+)
+def test_square_roots_above_ten_thousand_elements(field, non_square, sample):
+    rng = random.Random(6)
+    non_square = field.element(non_square)
+    for _ in range(50):
+        y = field.element(sample(rng))
+        r = sqrt(y * y)
+        assert r * r == y * y
+        assert r == min(y, -y, key=lambda e: e.sort_key())
+        assert y.is_zero() or sqrt(non_square * y * y) is None
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(p) for p in range(3, 102) if all(p % d for d in range(2, p))]
+    + [F9, ExtensionField(F3, [1, 2, 0, 1], var="u"), F25, F7a]
+    + [ExtensionField(PrimeField(11), [1, 0, 1], var="i"), F81, F10007],
+    ids=str,
+)
+def test_roots_and_square_roots_match_brute_force_oracles(field):
+    q = field.size()
+    for n in range(1, q):
+        if (q - 1) % n == 0:
+            assert primitive_root_of_unity(field, n) == smallest_element_of_order(field, n)
+    for x in field.elements():
+        roots = square_roots(x)
+        assert sqrt(x) == (roots[0] if roots else None)
+
+
+def test_multiplicative_order_in_characteristic_zero():
+    assert multiplicative_order(QQ.element(-1)) == 2
+    assert multiplicative_order(QI.generator()) == 4
+    assert multiplicative_order(ExtensionField(QQ, [1, 0, 0, 0, 1], var="z").generator()) == 8
+    with pytest.raises(UnsupportedFieldError):
+        multiplicative_order(QQ.element(2))
 
 
 def test_cyclotomic_polynomials():
