@@ -13,6 +13,7 @@ significant lex coordinate).
 
 from __future__ import annotations
 
+import sys
 from math import inf
 
 from .errors import (
@@ -28,11 +29,21 @@ from .fields import (
     Field,
     FieldAutomorphism,
     FieldElement,
+    PrimeField,
     _binary_power,
     sqrt as field_sqrt,
 )
 
 DEFAULT_PRECISION = 32
+
+# A product of untwisted series over a prime field takes the Kronecker path
+# when the outer term counts of its operands make at least
+# KRONECKER_MIN_PAIRS pairs and the packed product has at most
+# KRONECKER_SLOTS_PER_PAIR slots per pair of field terms; below either the
+# pair loop of _mul_into is faster.  Both were measured on the products of
+# the benchmark workloads (see CHANGES.md).
+KRONECKER_MIN_PAIRS = 36
+KRONECKER_SLOTS_PER_PAIR = 8
 
 
 class _InfiniteValuation:
@@ -83,6 +94,15 @@ class SeriesRing:
         self.default_prec = default_prec
         self.sigma = sigma
         self.sigma_order = 1 if sigma is None else sigma.order
+        # packed_prime is p when every level down to the field is untwisted
+        # and the field is F_p: the rings whose products Kronecker-pack.
+        if isinstance(coeff_ring, SeriesRing):
+            self.height = coeff_ring.height + 1
+            packed = coeff_ring.packed_prime
+        else:
+            self.height = 1
+            packed = coeff_ring.p if isinstance(coeff_ring, PrimeField) else None
+        self.packed_prime = packed if sigma is None else None
 
     def __eq__(self, other):
         return (
@@ -221,7 +241,13 @@ class LaurentSeries:
         if self.is_zero() or other.is_zero():
             return self.ring.zero()
         acc = [{}, None]
-        _mul_into(acc, self, other)
+        p = self.ring.packed_prime
+        if (
+            p is None
+            or len(self.coeffs) * len(other.coeffs) < KRONECKER_MIN_PAIRS
+            or not _kronecker_mul_into(acc, self, other, p)
+        ):
+            _mul_into(acc, self, other)
         return _box(self.ring, acc)
 
     def scale(self, c) -> "LaurentSeries":
@@ -319,28 +345,36 @@ class LaurentSeries:
         return f"<{self}>"
 
 
+def _product_bound(bound, a_low, a_bound, b_low, b_bound):
+    """The least of bound and the bound of a product of series a and b.
+
+    A truncated factor bounds the product at its bound plus the other
+    factor's least exponent (its bound when it has no terms); a_low and b_low
+    are those least exponents.
+    """
+    if a_bound is not None and (bound is None or a_bound + b_low < bound):
+        bound = a_bound + b_low
+    if b_bound is not None and (bound is None or b_bound + a_low < bound):
+        bound = b_bound + a_low
+    return bound
+
+
 def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
     """Add a*b, neither an exact zero, into acc = [coeffs, bound] of a's ring.
 
     Over a field coeffs holds representatives, summed by the field's own _mul
     and _add (a twisted ring applies sigma^e1 to the right factor's terms);
-    above it, one child accumulator per exponent.  A truncated factor bounds
-    the product at its bound plus the other's least exponent (its bound when
-    it has no terms), and acc keeps the least bound.  Under a bound the terms
-    are walked in order and stop there; exact products are walked unsorted.
+    above it, one child accumulator per exponent.  acc keeps the least bound
+    over its products (_product_bound).  Under a bound the terms are walked
+    in order and stop at the bound; exact products are walked unsorted.
     """
     out, bound = acc
     rows, cols, limit, low = a.coeffs.items(), b.coeffs.items(), inf, 0
     if bound is not None or a.bound is not None or b.bound is not None:
         rows, cols = sorted(rows), sorted(cols)
         low = cols[0][0] if cols else b.bound
-        if a.bound is not None:
-            a_bound = a.bound + low
-            bound = a_bound if bound is None or a_bound < bound else bound
-        if b.bound is not None:
-            b_bound = b.bound + (rows[0][0] if rows else a.bound)
-            bound = b_bound if bound is None or b_bound < bound else bound
-        acc[1] = limit = bound
+        a_low = rows[0][0] if rows else a.bound
+        acc[1] = limit = _product_bound(bound, a_low, a.bound, low, b.bound)
     ring = a.ring
     field, sigma = ring.coeff_ring, ring.sigma
     if not isinstance(field, Field):
@@ -371,6 +405,177 @@ def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
                 break
             r = mul(r1, c2.rep)
             out[e] = add(out[e], r) if e in out else r
+
+
+# ---------------------------------------------------------------------------
+# Kronecker products (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4;
+# D. Harvey, J. Symbolic Comput. 44 (2009))
+
+# memoryview formats by item size, for slot widths written and read
+# natively; other widths, and every width on big-endian hosts, go byte by byte.
+_NATIVE_SLOTS = (
+    {memoryview(bytes(8)).cast(code).itemsize: code for code in "QIHB"}
+    if sys.byteorder == "little"
+    else {}
+)
+
+
+def _slot_width(p: int, terms: int) -> int:
+    """Bytes per slot holding a sum of `terms` products of representatives
+    0..p-1: the least of 1, 2, 4 and 8 that holds (p-1)^2 * terms, or past
+    8 bytes the least byte count that does."""
+    width = (((p - 1) ** 2 * terms).bit_length() + 7) // 8
+    return width if width > 8 else 1 << (width - 1).bit_length()
+
+
+def _read_slots(data: memoryview, start: int, stop: int, width: int) -> list:
+    """Slots start..stop-1 of the little-endian slots of `width` bytes in data."""
+    view = data[start * width : stop * width]
+    code = _NATIVE_SLOTS.get(width)
+    if code is not None:
+        return view.cast(code).tolist()
+    return [
+        int.from_bytes(view[i : i + width], "little") for i in range(0, len(view), width)
+    ]
+
+
+def _survey(s: LaurentSeries, level: int, lows: list, highs: list):
+    """Summarize s for the windows: returns (summary, field term count).
+
+    The summary is (low, bound, children): low is the least exponent of s,
+    or its bound when it has no terms, and children lists (exponent,
+    summary) by exponent, or is None at level 0, whose coefficients are
+    field elements.  Widens lows[k] and highs[k] to every exponent met at
+    level k.
+    """
+    coeffs = s.coeffs
+    if coeffs:
+        low, high = min(coeffs), max(coeffs)
+        if low < lows[level]:
+            lows[level] = low
+        if high > highs[level]:
+            highs[level] = high
+    else:
+        low = s.bound
+    if not level:
+        return (low, s.bound, None), len(coeffs)
+    kids, terms = [], 0
+    for e, c in sorted(coeffs.items()):
+        kid, n = _survey(c, level - 1, lows, highs)
+        kids.append((e, kid))
+        terms += n
+    return (low, s.bound, kids), terms
+
+
+def _window_into(out: dict, bound, a_kids: list, b_kids: list) -> None:
+    """Set the windows below an accumulator whose children are out.
+
+    Every pair of surveyed children landing below bound gets the child
+    accumulator at its exponent, whose bound _product_bound lowers, and so on
+    down the levels.  The children are sorted, so each loop stops at bound.
+    """
+    for e1, (a_low, a_bound, a_grand) in a_kids:
+        if bound is not None and e1 + b_kids[0][0] >= bound:
+            break
+        for e2, (b_low, b_bound, b_grand) in b_kids:
+            e = e1 + e2
+            if bound is not None and e >= bound:
+                break
+            child = out.get(e)
+            if child is None:
+                child = out[e] = [{}, None]
+            child[1] = _product_bound(child[1], a_low, a_bound, b_low, b_bound)
+            if a_grand and b_grand:
+                _window_into(child[0], child[1], a_grand, b_grand)
+
+
+def _pack(s: LaurentSeries, level: int, base: int, lows: list, strides: list, slots: list):
+    """Put the representatives of s at base + sum_k (e_k - lows[k]) * strides[k]."""
+    low, stride = lows[level], strides[level]
+    if not level:
+        for e, c in s.coeffs.items():
+            slots[base + e - low] = c.rep
+        return
+    for e, c in s.coeffs.items():
+        _pack(c, level - 1, base + (e - low) * stride, lows, strides, slots)
+
+
+def _packed(s: LaurentSeries, lows: list, highs: list, strides: list, width: int) -> int:
+    """s as one integer of little-endian slots of `width` bytes, its
+    representatives in the slots _pack gives them."""
+    count = 1 + sum((h - l) * k for l, h, k in zip(lows, highs, strides))
+    code = _NATIVE_SLOTS.get(width)
+    data = bytearray(count * width)
+    slots = memoryview(data).cast(code) if code else [0] * count
+    _pack(s, len(lows) - 1, 0, lows, strides, slots)
+    if code is None:
+        data = b"".join(v.to_bytes(width, "little") for v in slots)
+    return int.from_bytes(data, "little")
+
+
+def _unpack_into(acc, level, base, lows, highs, strides, data, width, p) -> None:
+    """Fill the level-0 accumulators under acc from the product's slots.
+
+    The windows are already set.  Only the nodes inside their parents'
+    windows are visited, and only the slots below each level-0 bound are
+    read; a slot's sum mod p is written when it is nonzero.
+    """
+    coeffs, bound = acc
+    low = lows[level]
+    if not level:
+        stop = highs[0] + 1 if bound is None or bound > highs[0] else bound
+        if stop > low:
+            for e, v in enumerate(_read_slots(data, base, base + stop - low, width), low):
+                v %= p
+                if v:
+                    coeffs[e] = v
+        return
+    stride = strides[level]
+    for e, child in coeffs.items():
+        if bound is None or e < bound:
+            _unpack_into(
+                child, level - 1, base + (e - low) * stride, lows, highs, strides, data, width, p
+            )
+
+
+def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -> bool:
+    """Put a*b into the fresh acc by Kronecker substitution, or return False
+    and leave acc alone when the operands are too sparse for it.  Operands
+    of which one has no field term get their windows alone.
+
+    The ring is untwisted at every level over F_p.  A field term whose
+    exponents are e_k at level k (0 innermost) goes to slot
+    sum_k (e_k - lo_k) * stride_k of one integer.  There lo_k is the
+    operand's least exponent at level k and stride_k the product's extent
+    below level k.  Each slot holds (p-1)^2 times the smaller term count, so
+    one integer product sums every pair of terms into the slot of its
+    exponents, with no carry between slots.  The windows come first, by the
+    rule _mul_into uses (_product_bound), from one survey per operand.
+    """
+    height = a.ring.height
+    a_lows, a_highs = [inf] * height, [-inf] * height
+    b_lows, b_highs = [inf] * height, [-inf] * height
+    sa, na = _survey(a, height - 1, a_lows, a_highs)
+    sb, nb = _survey(b, height - 1, b_lows, b_highs)
+    if na and nb:
+        lows = [x + y for x, y in zip(a_lows, b_lows)]
+        highs = [x + y for x, y in zip(a_highs, b_highs)]
+        strides = [1]
+        for low, high in zip(lows, highs):
+            strides.append(strides[-1] * (high - low + 1))
+        size = strides.pop()
+        if size > KRONECKER_SLOTS_PER_PAIR * na * nb:
+            return False
+    acc[1] = _product_bound(None, *sa[:2], *sb[:2])
+    if sa[2] and sb[2]:
+        _window_into(acc[0], acc[1], sa[2], sb[2])
+    if na and nb:
+        width = _slot_width(p, min(na, nb))
+        packed_a = _packed(a, a_lows, a_highs, strides, width)
+        packed_b = packed_a if b is a else _packed(b, b_lows, b_highs, strides, width)
+        data = memoryview((packed_a * packed_b).to_bytes(size * width, "little"))
+        _unpack_into(acc, height - 1, 0, lows, highs, strides, data, width, p)
+    return True
 
 
 def _box(ring: SeriesRing, acc: list) -> LaurentSeries:

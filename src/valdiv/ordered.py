@@ -10,7 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
+from itertools import count
+from math import gcd, isqrt, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InfiniteIndexError, NotASubgroupError, RankMismatchError, UsageError
@@ -33,21 +34,88 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def _prime_factors(n: int):
-    """The distinct prime factors of n >= 1, ascending, by trial division."""
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            yield d
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        yield n
+# Strong probable-prime tests to the first 13 prime bases decide primality
+# below _MR_LIMIT (J. Sorenson and J. Webster, "Strong pseudoprimes to
+# twelve prime bases", Math. Comp. 86 (2017)).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+# _prime_factors divides out the primes below this before Pollard-Brent rho.
+_TRIAL_LIMIT = 1024
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and next(_prime_factors(n)) == n
+    """Exact primality by strong probable-prime tests to _MR_BASES, which
+    decide below _MR_LIMIT; a probable prime above it is trial-divided."""
+    if n < 2:
+        return False
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return n < _MR_LIMIT or all(n % d for d in range(43, isqrt(n) + 1, 2))
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of an odd composite n by Brent's variant of Pollard's
+    rho (R. P. Brent, BIT 20 (1980)), with x -> x^2 + c for c = 1, 2, ...
+    until one splits n."""
+    for c in count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _prime_factors(n: int) -> list[int]:
+    """The distinct prime factors of n >= 1, ascending: trial division below
+    _TRIAL_LIMIT, then Pollard-Brent rho on the cofactor."""
+    factors, d = [], 2
+    while d * d <= n and d < _TRIAL_LIMIT:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if d * d > n:
+        return factors + [n] if n > 1 else factors
+    large, stack = set(), [n]
+    while stack:
+        m = stack.pop()
+        if is_prime(m):
+            large.add(m)
+        else:
+            f = _rho_factor(m)
+            stack += [f, m // f]
+    return factors + sorted(large)
 
 
 def lex_compare(v: Sequence, w: Sequence) -> int:

@@ -259,6 +259,21 @@ def is_irreducible_mod_p(coeffs, p):
     return True
 
 
+def trial_division_factors(n):
+    """The distinct prime factors of n >= 1, ascending, dividing by every
+    d = 2, 3, 4, ... while d * d <= n."""
+    factors, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return factors
+
+
 def series_plain(value):
     """A field element as it is; a series as (coeffs, bound), nested."""
     if not hasattr(value, "coeffs"):

@@ -1,8 +1,10 @@
+import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+from valdiv import laurent
 from valdiv.errors import (
     DescriptorMismatchError,
     FieldConstructionError,
@@ -423,3 +425,187 @@ def test_twisted_product_matches_naive_pair_loop():
         product = a * b
         assert type(product) is TwistedSeries
         assert series_plain(product) == naive_series_product(a, b)
+
+
+# --- the Kronecker path against the naive pair loop ---------------------------
+
+
+def _grid(ring, rng, counts, low=0, spread=1, truncate=False, empty=0.0):
+    """counts[0] terms at low, low + spread, ... at the outer level, counts[1]
+    in each child and so on, every field coefficient nonzero.  Truncated, a
+    series ends 1-3 exponents past its last term, so children of one series
+    are cut at different bounds; with probability `empty` a child is
+    replaced by O(v^k) with no terms."""
+    inner = ring.coeff_ring
+    coeffs = {}
+    for k in range(counts[0]):
+        e = low + k * spread
+        if isinstance(inner, SeriesRing):
+            if rng.random() < empty:
+                coeffs[e] = inner.series({}, rng.randint(low, low + 3))
+            else:
+                coeffs[e] = _grid(inner, rng, counts[1:], low, spread, truncate, empty)
+        else:
+            coeffs[e] = inner.element(rng.randrange(1, inner.p))
+    bound = low + counts[0] * spread + rng.randrange(3) if truncate else None
+    return ring.series(coeffs, bound)
+
+
+def _terms_outside_windows(acc, level, inside=True):
+    """Representatives in an accumulator at or above its node's bound, or
+    under a node that lies at or above its parent's bound."""
+    coeffs, bound = acc
+    count = 0
+    for e, c in coeffs.items():
+        here = inside and (bound is None or e < bound)
+        count += _terms_outside_windows(c, level - 1, here) if level else not here
+    return count
+
+
+def _checked_product(monkeypatch, a, b):
+    """a*b checked against the naive pair loop at every coefficient and every
+    bound; returns whether it took the Kronecker path, after checking that
+    the Kronecker path wrote no term outside its windows."""
+    seen = {"loop": 0, "acc": None}
+    real_loop, real_box = laurent._mul_into, laurent._box
+
+    def loop(*args):
+        seen["loop"] += 1
+        return real_loop(*args)
+
+    def box(ring, acc):
+        if seen["acc"] is None:
+            seen["acc"] = copy.deepcopy(acc)
+        return real_box(ring, acc)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_mul_into", loop)
+        patch.setattr(laurent, "_box", box)
+        product = a * b
+    assert series_plain(product) == naive_series_product(a, b)
+    kronecker = seen["loop"] == 0
+    if kronecker:
+        assert _terms_outside_windows(seen["acc"], a.ring.height - 1) == 0
+    return kronecker
+
+
+def _field_terms(s):
+    """The field terms of a series at every level, flattened."""
+    if not hasattr(s, "coeffs"):
+        return [s]
+    return [t for c in s.coeffs.values() for t in _field_terms(c)]
+
+
+def _all_reps(value, rep):
+    """value with every field coefficient replaced by rep."""
+    if not hasattr(value, "coeffs"):
+        return value.field.element(rep)
+    return value.ring.series({e: _all_reps(c, rep) for e, c in value.coeffs.items()}, value.bound)
+
+
+def _outer_counts(pairs):
+    """Outer term counts (m, n) with m * n == pairs and m, n as close as can be."""
+    m = max(d for d in range(1, int(pairs**0.5) + 1) if pairs % d == 0)
+    return m, pairs // m
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+def test_kronecker_gate_on_outer_term_pairs(monkeypatch, height, truncate):
+    """Dense operands on both sides of the O(1) gate take the path it picks."""
+    rng = random.Random(f"outer/{height}/{truncate}")
+    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    inner = [3] * (height - 1)
+    for pairs, kronecker in [
+        (laurent.KRONECKER_MIN_PAIRS - 1, False),
+        (laurent.KRONECKER_MIN_PAIRS, True),
+    ]:
+        m, n = _outer_counts(pairs)
+        a = _grid(ring, rng, [m] + inner, low=-2, truncate=truncate)
+        b = _grid(ring, rng, [n] + inner, low=-1, truncate=truncate)
+        assert _checked_product(monkeypatch, a, b) is kronecker
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+def test_kronecker_gate_on_density(monkeypatch, height, truncate):
+    """Operands past the O(1) gate go the Kronecker way when dense and to the
+    pair loop when their exponents spread too far for their term pairs."""
+    rng = random.Random(f"density/{height}/{truncate}")
+    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    n = 6
+    assert n * n >= laurent.KRONECKER_MIN_PAIRS
+    for spread, inner, kronecker in [(1, n, True), (2, n, True), (40, 2, False)]:
+        counts = [n] + [inner] * (height - 1)
+        slots = (2 * (n - 1) * spread + 1) * (2 * (inner - 1) * spread + 1) ** (height - 1)
+        terms = n * inner ** (height - 1)
+        assert (slots <= laurent.KRONECKER_SLOTS_PER_PAIR * terms**2) is kronecker
+        a = _grid(ring, rng, counts, low=0, spread=spread, truncate=truncate)
+        b = _grid(ring, rng, counts, low=-3, spread=spread, truncate=truncate)
+        assert _checked_product(monkeypatch, a, b) is kronecker
+
+
+@pytest.mark.parametrize(
+    "p, width",
+    [(3, 1), (7, 2), (257, 4), (65537, 8), (4294967311, 9), (2**61 - 1, 16)],
+)
+def test_kronecker_slot_widths(monkeypatch, p, width):
+    """Each slot width, native (1, 2, 4, 8 bytes) or wider, packs and reads
+    back every sum, up to primes above 2^32 whose slots pass 2^64."""
+    field = PrimeField(p)
+    rng = random.Random(f"width/{p}")
+    for counts in ([8], [6, 3]):
+        ring = Tower(field, ["x", "y"][: len(counts)]).top_ring()
+        for truncate in (False, True):
+            a = _grid(ring, rng, counts, low=-1, truncate=truncate)
+            b = _grid(ring, rng, counts, low=2, truncate=truncate)
+            assert laurent._slot_width(p, len(_field_terms(a))) == width
+            assert _checked_product(monkeypatch, a, b)
+        # the largest sums a slot holds: every representative p - 1
+        top = _all_reps(_grid(ring, rng, counts), p - 1)
+        assert _checked_product(monkeypatch, top, top)
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_kronecker_slot_sums_divisible_by_p(monkeypatch, height):
+    """sum x^i y^j... times sum (-1)^(i+j...) x^i y^j...: many slots hold a
+    nonzero multiple of p, which must leave no term."""
+    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    n = 6
+
+    def alternating(r, sign):
+        inner = r.coeff_ring
+        if isinstance(inner, SeriesRing):
+            return r.series({e: alternating(inner, sign * (-1) ** e) for e in range(n)})
+        return r.series({e: inner.element(sign * (-1) ** e) for e in range(n)})
+
+    signs = alternating(ring, 1)
+    ones = _all_reps(signs, 1)
+    assert _checked_product(monkeypatch, ones, signs)
+    # the slot of x^1 under outer exponents 0 sums 6 + 1 = 7: no term there
+    node = series_plain(ones * signs)
+    for _ in range(height - 1):
+        node = node[0][0]
+    assert 1 not in node[0]
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_kronecker_windows_with_empty_children(monkeypatch, height):
+    """Truncated operands with O(v^k) children that hold no terms, negative
+    exponents and children cut at different bounds, both orders, exact times
+    truncated, and an operand with no field term at all (windows alone)."""
+    rng = random.Random(f"empty/{height}")
+    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    counts = [7] + [4] * (height - 1)
+    for _ in range(6):
+        a = _grid(ring, rng, counts, low=-3, truncate=True, empty=0.4)
+        b = _grid(ring, rng, counts, low=rng.randint(-2, 1), truncate=True, empty=0.2)
+        exact = _grid(ring, rng, counts, low=-1)
+        hollow = _grid(ring, rng, counts, low=-2, truncate=True, empty=1.0)
+        assert _checked_product(monkeypatch, hollow, a)
+        assert _checked_product(monkeypatch, exact, hollow)
+        assert _checked_product(monkeypatch, a, b)
+        assert _checked_product(monkeypatch, b, a)
+        assert _checked_product(monkeypatch, exact, a)
+        assert _checked_product(monkeypatch, a, exact)
+        assert _checked_product(monkeypatch, a, a)

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from valdiv.errors import InfiniteIndexError, NotASubgroupError, RankMismatchError
 from valdiv.ordered import (
+    _MR_LIMIT,
     Lattice,
     QuotientStructure,
+    _prime_factors,
+    is_prime,
     lex_compare,
     quotient,
     smith_normal_form,
@@ -18,6 +21,7 @@ from oracles import (
     abelian_invariant_factors,
     minimal_generating_set_size,
     row_reduce_rank,
+    trial_division_factors,
 )
 
 F = Fraction
@@ -290,3 +294,37 @@ def test_snf_matches_brute_force_group_enumeration():
 def test_json_round_trip():
     lat = Lattice.from_generators(3, [[F(1, 2), 0, 1], [0, F(1, 3), 0]])
     assert Lattice.from_json(lat.to_json()) == lat
+
+
+def test_primality_and_factors_match_trial_division_below_1e5():
+    for n in range(1, 10**5):
+        factors = trial_division_factors(n)
+        assert _prime_factors(n) == factors
+        assert is_prime(n) == (factors == [n])
+    assert not is_prime(0) and not is_prime(-7)
+
+
+def test_strong_pseudoprimes_and_large_primes():
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base up to 37
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    assert _prime_factors(3215031751) == [151, 751, 28351]
+    assert _prime_factors(3825123056546413051) == [149491, 747451, 34233211]
+    for p in (10**14 + 31, 2**61 - 1, 4294967311, 2**64 + 13):
+        assert is_prime(p) and _prime_factors(p) == [p]
+    # above the Miller-Rabin bound a witness still proves compositeness
+    assert not is_prime(43**16) and 43**16 >= _MR_LIMIT
+    assert not is_prime((2**61 - 1) * (10**14 + 31) * 4294967311)
+
+
+def test_pollard_rho_splits_large_cofactors():
+    """Cofactors past the trial-division primes, as products of two primes,
+    prime powers and with repeated factors, against trial division."""
+    rng = random.Random("rho")
+    primes = [p for p in range(1031, 20000) if trial_division_factors(p) == [p]]
+    for _ in range(40):
+        n = rng.choice([2, 3, 1, 12]) * rng.choice(primes) ** rng.randint(1, 2)
+        n *= rng.choice(primes)
+        assert _prime_factors(n) == trial_division_factors(n)
+    assert _prime_factors(2**64 + 1) == [274177, 67280421310721]
+    assert _prime_factors(1000003**2 * (10**14 + 31) * 1031) == [1031, 1000003, 10**14 + 31]
