@@ -1,8 +1,11 @@
 """Exact coefficient fields: Q, prime fields, and univariate quotient extensions.
 
-Field elements are immutable wrappers with operator arithmetic.  Extensions
-are F[x]/(modulus) with fully reduced representatives, so equality is
-representational.  Towers of extensions are limited to depth 2 over Q or a
+Field elements are immutable wrappers with operator arithmetic around a
+representative, on which each field computes: a Fraction over Q, an int in
+0..p-1 over F_p, and over F[x]/(modulus) a tuple of deg(modulus)
+representatives of F, fully reduced, so equality is representational.  No
+representative holds a FieldElement; elements are boxed only where they
+leave a field.  Towers of extensions are limited to depth 2 over Q or a
 prime field; that covers every coefficient domain this package constructs.
 """
 
@@ -57,7 +60,7 @@ class FieldElement:
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise DescriptorMismatchError(
                     f"elements of {self.field} and {other.field} combined"
                 )
@@ -114,7 +117,8 @@ class FieldElement:
     def __eq__(self, other):
         if not isinstance(other, FieldElement):
             return NotImplemented
-        return self.field == other.field and self.rep == other.rep
+        same_field = self.field is other.field or self.field == other.field
+        return same_field and self.rep == other.rep
 
     def __hash__(self):
         return hash((id(type(self.field)), self._hash_key()))
@@ -279,7 +283,15 @@ class PrimeField(Field):
 
 
 class ExtensionField(Field):
-    """base[var]/(modulus); modulus given as low-to-high base coefficients."""
+    """base[var]/(modulus); modulus given as low-to-high base coefficients.
+
+    A representative is a tuple of `degree` base representatives, the
+    coefficients of 1, var, ..., var^(degree-1).  Products are schoolbook
+    products folded below var^degree with one reduction row, var^degree =
+    -(f_0 + f_1 var + ... + f_(degree-1) var^(degree-1)), computed once per
+    field.  Over a prime field the slots are plain integer sums, reduced mod
+    p once each at the end.
+    """
 
     def __init__(self, base: Field, modulus, var: str = "w"):
         mod = [base.element(c) for c in modulus]
@@ -292,10 +304,18 @@ class ExtensionField(Field):
         self.base = base
         self.var = var
         self.modulus = tuple(mod)
-        self.degree = len(mod) - 1
+        self.degree = d = len(mod) - 1
         self.char = base.char
         if isinstance(base, ExtensionField) and isinstance(base.base, ExtensionField):
             raise FieldConstructionError("extension towers limited to depth 2")
+        self._p = base.p if isinstance(base, PrimeField) else None
+        self._zero = base.zero().rep
+        self._zero_rep = (self._zero,) * d
+        self._mod_reps = [c.rep for c in mod]
+        # the reduction row: (i, -f_i) for every nonzero f_i below the leading 1
+        self._row = tuple(
+            (i, base._neg(c.rep)) for i, c in enumerate(mod[:-1]) if not c.is_zero()
+        )
         if base.size() is not None:
             if not _is_irreducible_finite(self):
                 raise FieldConstructionError(
@@ -314,16 +334,14 @@ class ExtensionField(Field):
             if value.field == self:
                 return value
             if value.field == self.base:
-                rep = [value] + [self.base.zero()] * (self.degree - 1)
-                return FieldElement(self, tuple(rep))
+                return FieldElement(self, (value.rep,) + self._zero_rep[1:])
             raise DescriptorMismatchError("element from an unrelated field")
         if isinstance(value, (int, Fraction)):
             return self.element(self.base.element(value))
         if isinstance(value, (list, tuple)):
-            coeffs = [self.base.element(c) for c in value]
-            coeffs = _poly_mod(self.base, coeffs, list(self.modulus))
-            coeffs += [self.base.zero()] * (self.degree - len(coeffs))
-            return FieldElement(self, tuple(coeffs))
+            coeffs = [self.base.element(c).rep for c in value]
+            coeffs += self._zero_rep[len(coeffs):]
+            return FieldElement(self, self._reduce(coeffs))
         raise FieldConstructionError(f"cannot coerce {value!r}")
 
     def generator(self) -> FieldElement:
@@ -336,41 +354,90 @@ class ExtensionField(Field):
     def elements(self):
         if self.size() is None:
             raise UnsupportedFieldError(f"{self} is not finite")
-        for combo in itertools.product(
-            *(list(self.base.elements()) for _ in range(self.degree))
-        ):
-            yield FieldElement(self, tuple(combo))
+        reps = [x.rep for x in self.base.elements()]
+        for combo in itertools.product(reps, repeat=self.degree):
+            yield FieldElement(self, combo)
 
     def _add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        p = self._p
+        if p:
+            return tuple([(x + y) % p for x, y in zip(a, b)])
+        return tuple(map(self.base._add, a, b))
 
     def _neg(self, a):
-        return tuple(-x for x in a)
+        p = self._p
+        if p:
+            return tuple([-x % p for x in a])
+        return tuple(map(self.base._neg, a))
 
     def _mul(self, a, b):
-        prod = _poly_mul(self.base, list(a), list(b))
-        prod = _poly_mod(self.base, prod, list(self.modulus))
-        prod += [self.base.zero()] * (self.degree - len(prod))
-        return tuple(prod)
+        p = self._p
+        if p:
+            prod = [0] * (2 * self.degree - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+            return self._reduce(prod)
+        base = self.base
+        mul, add, is_zero = base._mul, base._add, base._is_zero
+        prod = [self._zero] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if not is_zero(x):
+                for j, y in enumerate(b, i):
+                    prod[j] = add(prod[j], mul(x, y))
+        return self._reduce(prod)
+
+    def _reduce(self, prod):
+        """The representative of sum_k prod[k] var^k, len(prod) >= degree:
+        each slot from the top down to var^degree is folded into the slots
+        below it with the reduction row."""
+        d, p, row = self.degree, self._p, self._row
+        if p:
+            for k in range(len(prod) - 1, d - 1, -1):
+                c = prod[k]
+                if c:
+                    for i, r in row:
+                        prod[k - d + i] += c * r
+            return tuple([v % p for v in prod[:d]])
+        base = self.base
+        mul, add, is_zero = base._mul, base._add, base._is_zero
+        for k in range(len(prod) - 1, d - 1, -1):
+            c = prod[k]
+            if not is_zero(c):
+                for i, r in row:
+                    prod[k - d + i] = add(prod[k - d + i], mul(c, r))
+        return tuple(prod[:d])
 
     def _inv(self, a):
-        g, s, _ = _poly_xgcd(self.base, list(a), list(self.modulus))
-        if len(g) != 1:
+        """Extended Euclid on representatives: r_i = s_i * a mod the modulus,
+        from (r, s) = (modulus, 0), (a, 1) until r_i is a constant c; then
+        a^-1 = s_i / c, of degree below the modulus's."""
+        base = self.base
+        mul, add, neg = base._mul, base._add, base._neg
+        r0, r1 = self._mod_reps, _poly_trim(base, list(a))
+        s0, s1 = [], [base.one().rep]
+        while len(r1) > 1:
+            q, r = _poly_divmod(base, r0, r1)
+            s = s0 + [self._zero] * (len(q) + len(s1) - 1 - len(s0))
+            for i, x in enumerate(q):
+                x = neg(x)
+                for j, y in enumerate(s1, i):
+                    s[j] = add(s[j], mul(x, y))
+            r0, r1, s0, s1 = r1, r, s1, s
+        if not r1:
             raise NotInvertibleError("representative shares a factor with modulus")
-        lead_inv = g[0].inv()
-        rep = [c * lead_inv for c in s]
-        rep = _poly_mod(self.base, rep, list(self.modulus))
-        rep += [self.base.zero()] * (self.degree - len(rep))
-        return tuple(rep)
+        c = base._inv(r1[0])
+        return tuple([mul(x, c) for x in s1]) + self._zero_rep[len(s1):]
 
     def _is_zero(self, a):
-        return all(c.is_zero() for c in a)
+        return a == self._zero_rep
 
     def _key(self, a):
-        return (1, tuple(c.sort_key() for c in a))
+        return (1, tuple(map(self.base._key, a)))
 
     def _str(self, a):
-        return self._poly_str(a)
+        return self._poly_str([FieldElement(self.base, c) for c in a])
 
     def _poly_str(self, coeffs):
         terms = []
@@ -400,80 +467,47 @@ class ExtensionField(Field):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial helpers over an arbitrary Field (low-to-high coefficients)
+# dense polynomials of representatives of a Field (low-to-high coefficients)
 
 
-def poly_trim(coeffs: list[FieldElement]) -> list[FieldElement]:
-    while coeffs and coeffs[-1].is_zero():
+def _poly_trim(field, coeffs: list) -> list:
+    while coeffs and field._is_zero(coeffs[-1]):
         coeffs.pop()
     return coeffs
 
 
-def _poly_add(field, a, b):
-    n = max(len(a), len(b))
-    z = field.zero()
-    out = [
-        (a[i] if i < len(a) else z) + (b[i] if i < len(b) else z) for i in range(n)
-    ]
-    return poly_trim(out)
+def _poly_divmod(field, num: list, den: list):
+    """Quotient and remainder by long division (von zur Gathen & Gerhard,
+    Modern Computer Algebra, 2.4); num and den are trimmed, den is not zero."""
+    mul, add, neg = field._mul, field._add, field._neg
+    num, d = list(num), len(den) - 1
+    lead_inv, quo = field._inv(den[-1]), []
+    for shift in range(len(num) - 1 - d, -1, -1):
+        c = mul(num[shift + d], lead_inv)
+        quo.append(c)
+        c = neg(c)
+        for i in range(d):
+            num[shift + i] = add(num[shift + i], mul(c, den[i]))
+    quo.reverse()
+    return quo, _poly_trim(field, num[:d])
 
 
-def _poly_mul(field, a, b):
-    if not a or not b:
-        return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x.is_zero():
-            continue
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return poly_trim(out)
-
-
-def _poly_divmod(field, num, den):
-    den = poly_trim(list(den))
-    if not den:
-        raise NotInvertibleError("polynomial division by zero")
-    num = poly_trim(list(num))
-    quo = [field.zero()] * max(0, len(num) - len(den) + 1)
-    lead_inv = den[-1].inv()
-    while len(num) >= len(den):
-        shift = len(num) - len(den)
-        factor = num[-1] * lead_inv
-        quo[shift] = factor
-        for i, c in enumerate(den):
-            num[shift + i] = num[shift + i] - factor * c
-        num = poly_trim(num)
-    return poly_trim(quo), num
-
-
-def _poly_mod(field, num, den):
-    return _poly_divmod(field, num, den)[1]
-
-
-def _poly_xgcd(field, a, b):
-    """(g, s, t) with s*a + t*b = g; g not normalized."""
-    r0, r1 = poly_trim(list(a)), poly_trim(list(b))
-    s0, s1 = [field.one()], []
-    t0, t1 = [], [field.one()]
-    while r1:
-        q, r = _poly_divmod(field, r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _poly_add(field, s0, [-c for c in _poly_mul(field, q, s1)])
-        t0, t1 = t1, _poly_add(field, t0, [-c for c in _poly_mul(field, q, t1)])
-    return r0, s0, t0
+def _poly_gcd(field, a: list, b: list) -> list:
+    """Monic gcd by Euclid's algorithm; [] when both are zero."""
+    g, b = _poly_trim(field, list(a)), _poly_trim(field, list(b))
+    while b:
+        g, b = b, _poly_divmod(field, g, b)[1]
+    if g:
+        lead_inv = field._inv(g[-1])
+        g = [field._mul(c, lead_inv) for c in g]
+    return g
 
 
 def poly_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
     """Monic gcd of two polynomials over the same field, by Euclid's algorithm."""
     field = (a or b)[0].field
-    g, b = poly_trim(list(a)), poly_trim(list(b))
-    while b:
-        g, b = b, _poly_mod(field, g, b)
-    if g:
-        lead_inv = g[-1].inv()
-        g = [c * lead_inv for c in g]
-    return g
+    g = _poly_gcd(field, [c.rep for c in a], [c.rep for c in b])
+    return [FieldElement(field, c) for c in g]
 
 
 def poly_eval(coeffs, point):
@@ -500,7 +534,8 @@ def _is_irreducible_finite(ring: ExtensionField) -> bool:
     if frob[n] != x:
         return False
     return all(
-        len(poly_gcd((frob[n // r] - x).rep, ring.modulus)) == 1 for r in _prime_factors(n)
+        len(_poly_gcd(ring.base, (frob[n // r] - x).rep, ring._mod_reps)) == 1
+        for r in _prime_factors(n)
     )
 
 
@@ -549,14 +584,12 @@ def has_order(x: FieldElement, n: int) -> bool:
 
 def cyclotomic_polynomial(n: int) -> list[Fraction]:
     """Coefficients of the n-th cyclotomic polynomial over Q (low to high)."""
-    field = QQ
-    poly = [field.element(-1)] + [field.zero()] * (n - 1) + [field.one()]
+    poly = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]
     for d in range(1, n):
         if n % d == 0:
-            phi_d = [field.element(c) for c in cyclotomic_polynomial(d)]
-            poly, rem = _poly_divmod(field, poly, phi_d)
+            poly, rem = _poly_divmod(QQ, poly, cyclotomic_polynomial(d))
             assert not rem
-    return [c.rep for c in poly]
+    return poly
 
 
 def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElement:
@@ -665,7 +698,11 @@ def sqrt(x: FieldElement) -> FieldElement | None:
 
 
 class FieldAutomorphism:
-    """Automorphism of an extension fixing the base, given by the generator image."""
+    """Automorphism of an extension fixing the base, given by the generator image.
+
+    It is base-linear, so it is applied as a matrix: the images of
+    1, w, ..., w^(d-1) as representatives, computed once.
+    """
 
     def __init__(self, field: Field, gen_image: FieldElement | None = None):
         self.field = field
@@ -673,6 +710,13 @@ class FieldAutomorphism:
             raise DescriptorMismatchError("generator image lies in a different field")
         self.gen_image = gen_image
         self._order = None
+        self._powers = {}
+        self._images = None
+        if gen_image is not None and isinstance(field, ExtensionField):
+            images = [field.one().rep]
+            for _ in range(1, field.degree):
+                images.append(field._mul(images[-1], gen_image.rep))
+            self._images = images
 
     def __eq__(self, other):
         return (
@@ -685,17 +729,33 @@ class FieldAutomorphism:
         return hash(("automorphism", hash(self.field)))
 
     def __call__(self, x: FieldElement) -> FieldElement:
-        if x.field != self.field:
+        if x.field is not self.field and x.field != self.field:
             raise DescriptorMismatchError("element from a different field")
-        if self.gen_image is None or not isinstance(self.field, ExtensionField):
+        if self._images is None:
             return x
-        acc = self.field.zero()
-        for c in reversed(x.rep):
-            acc = acc * self.gen_image + self.field.element(c)
-        return acc
+        return FieldElement(self.field, self._map(x.rep))
+
+    def _map(self, rep):
+        """The image of a representative: sum_k rep[k] * sigma(w^k)."""
+        field = self.field
+        p = field._p
+        if p:
+            out = [0] * field.degree
+            for c, image in zip(rep, self._images):
+                if c:
+                    for j, v in enumerate(image):
+                        out[j] += c * v
+            return tuple([v % p for v in out])
+        base = field.base
+        mul, add = base._mul, base._add
+        out = field._zero_rep
+        for c, image in zip(rep, self._images):
+            if not base._is_zero(c):
+                out = tuple([add(o, mul(c, v)) for o, v in zip(out, image)])
+        return out
 
     def is_identity(self) -> bool:
-        if self.gen_image is None or not isinstance(self.field, ExtensionField):
+        if self._images is None:
             return True
         return self.gen_image == self.field.generator()
 
@@ -716,16 +776,18 @@ class FieldAutomorphism:
                 self._order = k
         return self._order
 
-    def power(self, k: int):
-        """Apply the k-th power of the automorphism as a callable."""
+    def power(self, k: int) -> "FieldAutomorphism":
+        """The k-th power, built once per k modulo the order and kept."""
         k %= self.order
-
-        def apply(x, _k=k):
-            for _ in range(_k):
-                x = self(x)
-            return x
-
-        return apply
+        sigma_k = self._powers.get(k)
+        if sigma_k is None:
+            image = None
+            if k:
+                image = self.field.generator()
+                for _ in range(k):
+                    image = self(image)
+            sigma_k = self._powers[k] = FieldAutomorphism(self.field, image)
+        return sigma_k
 
 
 def identity_automorphism(field: Field) -> FieldAutomorphism:

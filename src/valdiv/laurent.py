@@ -218,16 +218,7 @@ class LaurentSeries:
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
         self._check_ring(other)
-        if self.bound is None:
-            bound = other.bound
-        elif other.bound is None:
-            bound = self.bound
-        else:
-            bound = min(self.bound, other.bound)
-        out = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            out[e] = out[e] + c if e in out else c
-        return type(self)(self.ring, out, bound)
+        return _sum(self, other)
 
     def __neg__(self) -> "LaurentSeries":
         return type(self)(self.ring, {e: -c for e, c in self.coeffs.items()}, self.bound)
@@ -357,6 +348,47 @@ def _product_bound(bound, a_low, a_bound, b_low, b_bound):
     if b_bound is not None and (bound is None or b_bound + a_low < bound):
         bound = b_bound + a_low
     return bound
+
+
+def _sum(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a + b, bounded by the least bound of the two (no bound counts as the
+    greatest), at every level.
+
+    A term of one summand alone is kept as it is; the field terms of both
+    are added on their representatives and boxed once, the children of both
+    by recursion.  Terms at or above the bound are never summed.
+    """
+    if a.bound is None:
+        bound = b.bound
+    elif b.bound is None:
+        bound = a.bound
+    else:
+        bound = min(a.bound, b.bound)
+    if bound == a.bound:
+        out = dict(a.coeffs)
+    else:  # b's bound, below a's
+        out = {e: c for e, c in a.coeffs.items() if e < bound}
+    field = a.ring.coeff_ring
+    on_field = isinstance(field, Field)
+    for e, c in b.coeffs.items():
+        if bound is not None and e >= bound:
+            continue
+        d = out.get(e)
+        if d is None:
+            out[e] = c
+        elif on_field:
+            r = field._add(d.rep, c.rep)
+            if field._is_zero(r):
+                del out[e]
+            else:
+                out[e] = FieldElement(field, r)
+        else:
+            s = _sum(d, c)
+            if s.is_zero():
+                del out[e]
+            else:
+                out[e] = s
+    return _clean_series(a.ring, out, bound)
 
 
 def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
@@ -579,17 +611,32 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -
 
 
 def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
-    """The series of ring that acc holds, boxed in place; the constructor
-    drops zeros, exact-zero children and exponents at or above the bound."""
+    """The series of ring that acc holds, with the constructor's cleaning:
+    zeros, exact-zero children and exponents at or above the bound are
+    dropped before anything is boxed."""
     coeffs, bound = acc
     inner = ring.coeff_ring
+    clean = {}
     if isinstance(inner, Field):
+        is_zero = inner._is_zero
         for e, r in coeffs.items():
-            coeffs[e] = FieldElement(inner, r)
+            if (bound is None or e < bound) and not is_zero(r):
+                clean[e] = FieldElement(inner, r)
     else:
         for e, c in coeffs.items():
-            coeffs[e] = _box(inner, c)
-    return ring.series(coeffs, bound)
+            if bound is None or e < bound:
+                child = _box(inner, c)
+                if child.coeffs or child.bound is not None:  # not an exact zero
+                    clean[e] = child
+    return _clean_series(ring, clean, bound)
+
+
+def _clean_series(ring: SeriesRing, clean: dict, bound) -> LaurentSeries:
+    """The series of ring with the terms `clean`, which holds no zero and no
+    exponent at or above bound, so the constructor has nothing to drop."""
+    series = ring.series({}, bound)
+    series.coeffs = clean
+    return series
 
 
 class Tower:

@@ -360,3 +360,92 @@ def _square_roots_table(field):
     for y in sorted(field.elements(), key=lambda e: e.sort_key()):
         table.setdefault(y * y, []).append(y)
     return table
+
+
+# ---------------------------------------------------------------------------
+# extension fields on plain lists
+#
+# An element of F[w_1]/(f_1)...[w_k]/(f_k) is a list of deg f_k elements of
+# the field below it; at depth 0 it is an int mod p, or a Fraction when p is
+# 0 (F = Q).  `moduli` lists f_1..f_k innermost first, each monic and low to
+# high, with coefficients one depth down.
+
+
+def naive_extension_sum(x, y, p):
+    if isinstance(x, list):
+        return [naive_extension_sum(u, v, p) for u, v in zip(x, y)]
+    return (x + y) % p if p else x + y
+
+
+def naive_extension_negative(x, p):
+    if isinstance(x, list):
+        return [naive_extension_negative(u, p) for u in x]
+    return -x % p if p else -x
+
+
+def _ext_mul(x, y, moduli, p):
+    if moduli:
+        return naive_extension_product(x, y, moduli, p)
+    return x * y % p if p else x * y
+
+
+def _ext_embed(c, moduli):
+    """The int c as an element at the depth of moduli."""
+    if not moduli:
+        return c
+    *inner, f = moduli
+    return [_ext_embed(c, inner)] + [_ext_embed(0, inner) for _ in range(len(f) - 2)]
+
+
+def naive_extension_product(a, b, moduli, p):
+    """a*b by the schoolbook product, then long division by the monic f_k
+    from the top coefficient down."""
+    *inner, f = moduli
+    n = len(f) - 1
+    prod = [_ext_embed(0, inner) for _ in range(2 * n - 1)]
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = naive_extension_sum(prod[i + j], _ext_mul(x, y, inner, p), p)
+    for k in range(2 * n - 2, n - 1, -1):
+        c = prod[k]
+        for i, fi in enumerate(f):
+            term = naive_extension_negative(_ext_mul(c, fi, inner, p), p)
+            prod[k - n + i] = naive_extension_sum(prod[k - n + i], term, p)
+    return prod[:n]
+
+
+def naive_extension_elements(moduli, p):
+    """Every element of a finite extension, as plain lists."""
+    if not moduli:
+        return list(range(p))
+    *inner, f = moduli
+    return [list(c) for c in product(naive_extension_elements(inner, p), repeat=len(f) - 1)]
+
+
+def naive_extension_inverse(a, moduli, p):
+    """The x with a*x = 1, by trying every element; None for a = 0."""
+    one = _ext_embed(1, moduli)
+    for x in naive_extension_elements(moduli, p):
+        if naive_extension_product(a, x, moduli, p) == one:
+            return x
+    return None
+
+
+def extension_sort_key(coeffs):
+    """sort_key of the element of F_p[w]/(f) with these coefficients."""
+    return (1, tuple((0, c) for c in coeffs))
+
+
+def extension_str(coeffs, var):
+    """str of the element of F_p[w]/(f) with these coefficients: nonzero
+    terms low to high, `c*w^k` with c and the power left out when 1."""
+    terms = []
+    for k, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        power = "" if k == 0 else var if k == 1 else f"{var}^{k}"
+        if not power:
+            terms.append(str(c))
+        else:
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms) if terms else "0"

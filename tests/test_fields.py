@@ -14,6 +14,7 @@ from valdiv.fields import (
     QQ,
     ExtensionField,
     FieldAutomorphism,
+    FieldElement,
     PrimeField,
     cyclotomic_polynomial,
     frobenius,
@@ -28,9 +29,16 @@ from valdiv.fields import (
 
 from oracles import (
     brute_force_squares,
+    extension_sort_key,
+    extension_str,
     is_irreducible_mod_p,
     matrix_charpoly,
     matrix_det,
+    naive_extension_elements,
+    naive_extension_inverse,
+    naive_extension_negative,
+    naive_extension_product,
+    naive_extension_sum,
     smallest_element_of_order,
     square_roots,
 )
@@ -304,3 +312,142 @@ def test_field_elements_equal_only_field_elements():
     assert 3 not in {three} and len({three, 3}) == 2
     assert three == f7.element(10)
     assert three + 1 == f7.element(4)
+
+
+# --- extension arithmetic against the plain-list oracles ---------------------
+
+F27 = ExtensionField(F3, [1, 2, 0, 1], var="u")  # u^3 + 2u + 1
+# every extension below with its oracle moduli (innermost first) and p (0 for Q)
+EXTENSIONS = [
+    (F9, [[1, 0, 1]], 3),
+    (F25, [[3, 0, 1]], 5),
+    (F27, [[1, 2, 0, 1]], 3),
+    (F7a, [[5, 0, 0, 1]], 7),
+    (F81, [[1, 0, 1], [[2, 2], [0, 0], [1, 0]]], 3),
+    (QI, [[1, 0, 1]], 0),
+]
+
+
+def _plain(x):
+    """An extension element as nested lists of its coefficients."""
+    return _plain_rep(x.rep)
+
+
+def _plain_rep(rep):
+    """Nested lists of base values; a boxed coefficient is read through its
+    rep, so values compare whatever the representation."""
+    out = []
+    for c in rep:
+        c = c.rep if isinstance(c, FieldElement) else c
+        out.append(_plain_rep(c) if isinstance(c, tuple) else c)
+    return out
+
+
+def _from_plain(field, coeffs):
+    if isinstance(field.base, ExtensionField):
+        return field.element([_from_plain(field.base, c) for c in coeffs])
+    return field.element(coeffs)
+
+
+def _random_plain(moduli, p, rng):
+    if not moduli:
+        return rng.randrange(p) if p else Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    *inner, f = moduli
+    return [_random_plain(inner, p, rng) for _ in range(len(f) - 1)]
+
+
+def _check_against_oracle(field, moduli, p, a, b):
+    x, y = _from_plain(field, a), _from_plain(field, b)
+    assert _plain(x * y) == naive_extension_product(a, b, moduli, p)
+    assert _plain(x + y) == naive_extension_sum(a, b, p)
+    assert _plain(x - y) == naive_extension_sum(a, naive_extension_negative(b, p), p)
+
+
+@pytest.mark.parametrize("field, moduli, p", EXTENSIONS[:3], ids=["F9", "F25", "F27"])
+def test_extension_arithmetic_matches_oracle_exhaustively(field, moduli, p):
+    elements = naive_extension_elements(moduli, p)
+    for a in elements:
+        for b in elements:
+            _check_against_oracle(field, moduli, p, a, b)
+        x = _from_plain(field, a)
+        if x.is_zero():
+            with pytest.raises(NotInvertibleError):
+                x.inv()
+        else:
+            assert _plain(x.inv()) == naive_extension_inverse(a, moduli, p)
+
+
+@pytest.mark.parametrize("field, moduli, p", EXTENSIONS[3:], ids=["F7[a]", "F9[v]", "Q(z)"])
+def test_extension_arithmetic_matches_oracle_on_seeded_pairs(field, moduli, p):
+    rng = random.Random(str(field))
+    for k in range(60):
+        a, b = _random_plain(moduli, p, rng), _random_plain(moduli, p, rng)
+        _check_against_oracle(field, moduli, p, a, b)
+        x = _from_plain(field, a)
+        if x.is_zero():
+            continue
+        if p and k % 3 == 0:
+            assert _plain(x.inv()) == naive_extension_inverse(a, moduli, p)
+        one = _plain(field.one())
+        assert naive_extension_product(a, _plain(x.inv()), moduli, p) == one
+
+
+@pytest.mark.parametrize("field", [F9, F25, F27], ids=str)
+def test_extension_keys_and_text_follow_the_coefficients(field):
+    p, one = field.char, field.one()
+    tuples = list(itertools.product(range(p), repeat=field.degree))
+    assert [_plain(x) for x in field.elements()] == [list(c) for c in tuples]
+    keys = set()
+    for coeffs in tuples:
+        x = field.element(list(coeffs))
+        twin = (x + one) - one
+        assert x.sort_key() == extension_sort_key(coeffs)
+        assert str(x) == extension_str(coeffs, field.var)
+        assert x == twin and hash(x) == hash(twin)
+        assert x == field.element(list(coeffs) + [0] * field.degree)
+        keys.add(x.sort_key())
+    assert len(keys) == len({*field.elements()}) == field.size()
+
+
+def _conjugation(field):
+    """w -> -w, for a modulus w^2 - c: the nontrivial automorphism over the base."""
+    return FieldAutomorphism(field, -field.generator())
+
+
+def _holds_field_element(rep):
+    if isinstance(rep, FieldElement):
+        return True
+    return isinstance(rep, tuple) and any(_holds_field_element(c) for c in rep)
+
+
+@pytest.mark.parametrize("field", [F9, F27, F7a, F81, QI], ids=str)
+def test_extension_representatives_hold_no_field_elements(field):
+    base = field.base
+    made = [field.element(2), field.element([1, 1]), field.element(base.one()), field.generator()]
+    made += [field.element(Fraction(1, 2))] if field.char != 2 else []
+    if field.size() is not None and field.size() < 1000:
+        made += list(field.elements())[:50]
+    x, y = field.generator() + 1, field.element([2, 1])
+    made += [x * y, x + y, x - y, -x, x.inv(), x**5, x / y]
+    sigma = frobenius(field) if field.base.size() == field.char else _conjugation(field)
+    made += [sigma(x), sigma.power(-1)(y), sigma.gen_image]
+    for e in made:
+        assert e.field == field and isinstance(e.rep, tuple) and len(e.rep) == field.degree
+        assert not _holds_field_element(e.rep)
+
+
+@pytest.mark.parametrize(
+    "field, sigma",
+    [(F9, frobenius(F9)), (F25, frobenius(F25)), (F27, frobenius(F27)), (F81, _conjugation(F81))],
+    ids=["F9", "F25", "F27", "F81"],
+)
+def test_automorphism_powers_match_repeated_application(field, sigma):
+    assert sigma.order == field.degree
+    for k in range(sigma.order):
+        sigma_k = sigma.power(k)
+        assert sigma.power(k + sigma.order) is sigma_k
+        for x in field.elements():
+            y = x
+            for _ in range(k):
+                y = sigma(y)
+            assert sigma_k(x) == y

@@ -25,7 +25,7 @@ from valdiv.laurent import (
     unit_is_square,
 )
 
-from oracles import brute_force_squares, naive_series_product, series_plain
+from oracles import _naive_sum, brute_force_squares, naive_series_product, series_plain
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -425,6 +425,33 @@ def test_twisted_product_matches_naive_pair_loop():
         product = a * b
         assert type(product) is TwistedSeries
         assert series_plain(product) == naive_series_product(a, b)
+
+
+@pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_sum_matches_naive_sum(field, height):
+    rng = random.Random(f"sum {field}/{height}")
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
+    seen = set()
+    for _ in range({1: 200, 2: 100, 3: 40}[height]):
+        a, b = _random_series(ring, rng), _random_series(ring, rng)
+        seen.add((a.bound is None, b.bound is None))
+        total, difference = a + b, a - b
+        assert type(total) is type(difference) is LaurentSeries
+        assert series_plain(total) == _naive_sum(series_plain(a), series_plain(b))
+        assert series_plain(difference) == _naive_sum(series_plain(a), series_plain(-b))
+        assert series_plain(a + a) == _naive_sum(series_plain(a), series_plain(a))
+    assert len(seen) == 4  # exact and truncated on either side
+
+
+def test_twisted_sum_matches_naive_sum():
+    ring = twisted_ring()
+    rng = random.Random("sum F9((t, frobenius))")
+    for _ in range(200):
+        a, b = _random_series(ring, rng), _random_series(ring, rng)
+        total = a + b
+        assert type(total) is TwistedSeries
+        assert series_plain(total) == _naive_sum(series_plain(a), series_plain(b))
 
 
 # --- the Kronecker path against the naive pair loop ---------------------------
