@@ -795,7 +795,16 @@ def identity_automorphism(field: Field) -> FieldAutomorphism:
 
 
 def frobenius(field: ExtensionField) -> FieldAutomorphism:
-    """x -> x^p on a finite extension field."""
+    """x -> x^p on a finite extension of a prime field.
+
+    Over an extension base x -> x^p moves the base, so it is no automorphism
+    over it; the relative Frobenius x -> x^|base| is.
+    """
     if field.size() is None:
         raise UnsupportedFieldError("Frobenius needs a finite field")
+    if isinstance(field.base, ExtensionField):
+        raise UnsupportedFieldError(
+            "x -> x^p moves the base of a depth-2 field; use the relative Frobenius"
+            " FieldAutomorphism(F, F.generator() ** F.base.size())"
+        )
     return FieldAutomorphism(field, field.generator() ** field.char)

@@ -21,7 +21,6 @@ from .errors import (
 )
 from .fields import FieldElement
 from .laurent import INFINITE_VALUATION
-from .ordered import Lattice
 from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra
 
 
@@ -88,10 +87,6 @@ class GradedAlgebraView:
 
     algebra: SymbolAlgebra
     report: RamificationReport
-
-    @property
-    def grade_group(self) -> Lattice:
-        return self.report.value_group
 
     @property
     def zero_component_degree(self) -> int:

@@ -10,7 +10,8 @@ Berkowitz's division-free recurrence over L, so truncated coefficients are
 never inverted; the reduced norm is read from its constant term.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
-the tower's value group Z^m (outermost variable = most significant).
+the tower's value group Z^m (outermost variable = most significant).  The
+value group needs no norm: v(i) = v(a) / n and v(j) = v(b) / n.
 """
 
 from __future__ import annotations
@@ -70,9 +71,9 @@ class SymbolAlgebra:
         self.a = a
         self.b = b
         self._omega_pow = [omega**k for k in range(degree)]
+        self._zero = tower.zero()  # shared by every zero L-vector
         self._splitting_verified = False
         self._value_group: Lattice | None = None
-        self._v_gens: dict[str, tuple[Fraction, ...]] = {}
 
     @property
     def dimension(self) -> int:
@@ -119,11 +120,7 @@ class SymbolAlgebra:
         return self.element({(0, 0): self.tower.one()})
 
     def scalar(self, value) -> "AlgebraElement":
-        if isinstance(value, TowerElement):
-            return self.element({(0, 0): value})
-        if isinstance(value, FieldElement):
-            return self.element({(0, 0): self.tower.constant(value)})
-        return self.element({(0, 0): self.tower.constant(value)})
+        return self.element({(0, 0): value})
 
     def i(self) -> "AlgebraElement":
         if self.degree == 1:
@@ -143,41 +140,34 @@ class SymbolAlgebra:
 
     # -- splitting representation ------------------------------------------
 
-    def _rho_entry_shift(self, r: int, l: int) -> tuple[int, bool]:
-        """Column and b-wrap flag of rho(j)^l acting on row r."""
-        return (r + l) % self.degree, r + l >= self.degree
-
     def verify_splitting_relations(self):
-        """Check rho(i)^n = a, rho(j)^n = b, rho(j)rho(i) = omega rho(i)rho(j)."""
+        """Check rho(i)^n = rho(a), rho(j)^n = rho(b) and
+        rho(j)rho(i) = rho(omega i)rho(j)."""
         if self._splitting_verified:
             return
-        n = self.degree
         rho_i = self.i().splitting_matrix()
         rho_j = self.j().splitting_matrix()
-        id_a = _l_scalar_matrix(self, self.a)
-        id_b = _l_scalar_matrix(self, self.b)
-        pow_i = _l_matrix_power(self, rho_i, n)
-        pow_j = _l_matrix_power(self, rho_j, n)
-        if not _l_matrix_agrees(pow_i, id_a) or not _l_matrix_agrees(pow_j, id_b):
-            raise InvariantBreachError("splitting generators fail their n-th powers")
+        for rho, c in ((rho_i, self.a), (rho_j, self.b)):
+            power = rho
+            for _ in range(self.degree - 1):
+                power = _l_matrix_mul(self, power, rho)
+            if not _l_matrix_agrees(power, self.scalar(c).splitting_matrix()):
+                raise InvariantBreachError("splitting generators fail their n-th powers")
         ji = _l_matrix_mul(self, rho_j, rho_i)
-        ij = _l_matrix_mul(self, rho_i, rho_j)
-        ij_scaled = [[_l_scale_base(self, e, self.omega) for e in row] for row in ij]
-        if not _l_matrix_agrees(ji, ij_scaled):
+        twisted = _l_matrix_mul(self, self.i().scale(self.omega).splitting_matrix(), rho_j)
+        if not _l_matrix_agrees(ji, twisted):
             raise InvariantBreachError("splitting generators fail the twist relation")
         self._splitting_verified = True
 
     # -- valuation data -----------------------------------------------------
 
     def v_of_i(self) -> tuple[Fraction, ...]:
-        if "i" not in self._v_gens:
-            self._v_gens["i"] = self.i().valuation()
-        return self._v_gens["i"]
+        """v(i) = v(a) / n: i^n = a, so Nrd(i) = (-1)^(n+1) a and no norm is needed."""
+        return tuple(Fraction(x, self.degree) for x in self.a.valuation())
 
     def v_of_j(self) -> tuple[Fraction, ...]:
-        if "j" not in self._v_gens:
-            self._v_gens["j"] = self.j().valuation()
-        return self._v_gens["j"]
+        """v(j) = v(b) / n, as for v_of_i."""
+        return tuple(Fraction(x, self.degree) for x in self.b.valuation())
 
     def value_group(self) -> Lattice:
         """Lattice generated by the field's Z^m together with v(i), v(j)."""
@@ -400,10 +390,11 @@ class AlgebraElement:
         mat = [[_l_zero(alg) for _ in range(n)] for _ in range(n)]
         for (k, l), c in self.coeffs.items():
             for r in range(n):
-                col, wraps = alg._rho_entry_shift(r, l)
+                col = r + l  # rho(j)^l moves row r to column r + l, wrapping by b
                 val = c.scale(alg._omega_pow[(r * k) % n]) if n > 1 else c
-                if wraps:
+                if col >= n:
                     val = val * alg.b
+                    col -= n
                 entry = mat[r][col]
                 entry[k] = entry[k] + val
         return mat
@@ -527,13 +518,7 @@ class AlgebraElement:
 
 
 def _l_zero(alg) -> list[TowerElement]:
-    return [alg.tower.zero() for _ in range(alg.degree)]
-
-
-def _l_one(alg) -> list[TowerElement]:
-    out = _l_zero(alg)
-    out[0] = alg.tower.one()
-    return out
+    return [alg._zero] * alg.degree
 
 
 def _l_add(alg, u, v):
@@ -544,64 +529,33 @@ def _l_neg(alg, u):
     return [-x for x in u]
 
 
-def _l_is_zero(u) -> bool:
-    return all(x.is_zero() for x in u)
-
-
-def _l_scale_base(alg, u, c: FieldElement):
-    return [x.scale(c) for x in u]
-
-
-def _l_mul(alg, u, v):
-    n = alg.degree
-    out = _l_zero(alg)
-    for iu, x in enumerate(u):
-        if x.is_zero():
-            continue
-        for iv, y in enumerate(v):
-            if y.is_zero():
-                continue
-            prod = x * y
-            d = iu + iv
-            if d >= n:
-                prod = prod * alg.a
-                d -= n
-            out[d] = out[d] + prod
-    return out
-
-
 def _l_agrees(u, v) -> bool:
     return all((x - y).indistinguishable_from_zero() for x, y in zip(u, v))
 
 
-def _l_scalar_matrix(alg, c: TowerElement):
-    n = alg.degree
-    mat = [[_l_zero(alg) for _ in range(n)] for _ in range(n)]
-    for r in range(n):
-        mat[r][r][0] = c
-    return mat
-
-
 def _l_dot(alg, us, vs):
-    """Sum of the products u * v over L, skipping zero factors."""
-    acc = _l_zero(alg)
+    """Sum of the products u * v over L, added into one vector; alpha^n wraps to a."""
+    n = alg.degree
+    out = _l_zero(alg)
     for u, v in zip(us, vs):
-        if _l_is_zero(u) or _l_is_zero(v):
-            continue
-        acc = _l_add(alg, acc, _l_mul(alg, u, v))
-    return acc
+        for iu, x in enumerate(u):
+            if x.is_zero():
+                continue
+            for iv, y in enumerate(v):
+                if y.is_zero():
+                    continue
+                prod = x * y
+                d = iu + iv
+                if d >= n:
+                    prod = prod * alg.a
+                    d -= n
+                out[d] = out[d] + prod
+    return out
 
 
 def _l_matrix_mul(alg, A, B):
     columns = list(zip(*B))
     return [[_l_dot(alg, row, col) for col in columns] for row in A]
-
-
-def _l_matrix_power(alg, A, e: int):
-    out = _l_scalar_matrix(alg, alg.tower.one())
-    for _ in range(e):
-        out = _l_matrix_mul(alg, out, A)
-    return out
 
 
 def _l_matrix_agrees(A, B) -> bool:
@@ -617,7 +571,7 @@ def _l_charpoly(alg, mat):
     column k cut to M (S. J. Berkowitz, Inf. Process. Lett. 18, 1984).  Only
     ring operations are used.
     """
-    poly = [_l_one(alg)]
+    poly = [[alg.tower.one()] + _l_zero(alg)[1:]]
     for k in range(len(mat)):
         block = [row[:k] for row in mat[:k]]
         row = mat[k][:k]

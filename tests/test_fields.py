@@ -451,3 +451,16 @@ def test_automorphism_powers_match_repeated_application(field, sigma):
             for _ in range(k):
                 y = sigma(y)
             assert sigma_k(x) == y
+
+
+def test_frobenius_refuses_a_depth_two_field():
+    # x -> x^p moves the base F9, so no F9-linear map given by v's image is it:
+    # the map such an image defines fixes w, while w^3 = -w
+    w = F81.element(F9.generator())
+    assert w**3 == -w != w
+    with pytest.raises(UnsupportedFieldError, match="relative Frobenius"):
+        frobenius(F81)
+    relative = FieldAutomorphism(F81, F81.generator() ** F81.base.size())
+    assert relative.order == F81.degree
+    for x in F81.elements():
+        assert relative(x) == x ** F81.base.size()

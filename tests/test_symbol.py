@@ -5,14 +5,17 @@ import pytest
 
 from valdiv.errors import (
     FieldConstructionError,
+    InvariantBreachError,
     NotAUnitError,
     NotInvertibleError,
+    PrecisionExhaustedError,
     UnsupportedFieldError,
 )
 from valdiv.fields import PrimeField
+from valdiv.grammar import parse_algebra
 from valdiv.laurent import INFINITE_VALUATION, Tower
 from valdiv.ordered import Lattice, quotient
-from valdiv.symbol import SymbolAlgebra, quaternion_is_division
+from valdiv.symbol import AlgebraElement, SymbolAlgebra, quaternion_is_division
 
 from conftest import (
     make_quaternion_f5,
@@ -430,3 +433,63 @@ def test_rational_quaternion_norms():
     assert e.nrd() == alg.tower.one()
     assert e.valuation() == ()
     assert (i * j + j * i).is_zero()
+
+
+# slot pairs per tower suffix; the second pair of a tower is truncated
+_GENERATOR_SLOTS = {
+    "": [("3", "5")],
+    "((t))": [("t^3+2", "4*t^-1"), ("t+O(t^2)", "2+t+O(t^5)")],
+    "((x))((y))": [("x^2*y+y^2", "3*x^-1"), ("x+O(y^0*x^3)", "y+O(y^2)")],
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"symbol(n={n}, omega=auto, a={a}, b={b}) over F61{suffix}"
+        for n in range(1, 6)
+        for suffix, slots in _GENERATOR_SLOTS.items()
+        for a, b in slots
+    ],
+)
+def test_generator_values_agree_with_their_reduced_norms(text):
+    alg = parse_algebra(text, 8)
+    assert alg.v_of_i() == alg.i().valuation()
+    assert alg.v_of_j() == alg.j().valuation()
+
+
+def test_generator_value_of_a_vanishing_slot_fails_as_its_norm_does():
+    alg = parse_algebra("symbol(n=2, omega=auto, a=O(t^2), b=t) over F5((t))")
+    with pytest.raises(PrecisionExhaustedError) as direct:
+        alg.v_of_i()
+    with pytest.raises(PrecisionExhaustedError) as via_norm:
+        alg.i().valuation()
+    assert type(direct.value) is type(via_norm.value)
+    assert str(direct.value) == str(via_norm.value)
+
+
+def test_classification_builds_no_splitting_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("splitting matrix built")
+
+    monkeypatch.setattr(AlgebraElement, "splitting_matrix", refuse)
+    for alg in (make_quaternion_f5(), make_symbol_xy(3, 7), make_symbol_xy(4, 5)):
+        alg.classify()
+        for row in alg.value_group().fraction_rows():
+            assert alg.monomial_with_value(row) is not None
+
+
+def test_relation_check_catches_a_wrong_twist():
+    # omega^2 is another primitive cube root: the n-th powers hold, the twist fails
+    alg = make_symbol_xy(3, 7)
+    alg._omega_pow = [alg.omega ** (2 * k) for k in range(3)]
+    with pytest.raises(InvariantBreachError, match="twist relation"):
+        alg.verify_splitting_relations()
+
+
+def test_relation_check_catches_a_phase_that_is_no_root_of_unity():
+    # 3^3 = 6 in F7, so rho(i)^3 = diag(a, 6a, a) is not rho(a)
+    alg = make_symbol_xy(3, 7)
+    alg._omega_pow = [alg.tower.base.element(3) ** k for k in range(3)]
+    with pytest.raises(InvariantBreachError, match="n-th powers"):
+        alg.verify_splitting_relations()
