@@ -224,21 +224,14 @@ class LaurentSeries:
         return type(self)(self.ring, {e: -c for e, c in self.coeffs.items()}, self.bound)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        self._check_ring(other)
+        return _sum(self, other, negate=True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         """(c t^i)(d t^j) = c sigma^i(d) t^(i+j), extended bilinearly."""
         self._check_ring(other)
-        if self.is_zero() or other.is_zero():
-            return self.ring.zero()
         acc = [{}, None]
-        p = self.ring.packed_prime
-        if (
-            p is None
-            or len(self.coeffs) * len(other.coeffs) < KRONECKER_MIN_PAIRS
-            or not _kronecker_mul_into(acc, self, other, p)
-        ):
-            _mul_into(acc, self, other)
+        _add_product(acc, self, other)
         return _box(self.ring, acc)
 
     def scale(self, c) -> "LaurentSeries":
@@ -350,13 +343,14 @@ def _product_bound(bound, a_low, a_bound, b_low, b_bound):
     return bound
 
 
-def _sum(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """a + b, bounded by the least bound of the two (no bound counts as the
-    greatest), at every level.
+def _sum(a: LaurentSeries, b: LaurentSeries, negate: bool = False) -> LaurentSeries:
+    """a + b, or a - b when negate, bounded by the least bound of the two (no
+    bound counts as the greatest), at every level.
 
-    A term of one summand alone is kept as it is; the field terms of both
-    are added on their representatives and boxed once, the children of both
-    by recursion.  Terms at or above the bound are never summed.
+    A term of a alone is kept as it is, a term of b alone is kept or negated;
+    the field terms of both are added on their representatives and boxed
+    once, the children of both by recursion.  Terms at or above the bound are
+    never summed.
     """
     if a.bound is None:
         bound = b.bound
@@ -375,20 +369,68 @@ def _sum(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
             continue
         d = out.get(e)
         if d is None:
-            out[e] = c
+            out[e] = -c if negate else c
         elif on_field:
-            r = field._add(d.rep, c.rep)
+            r = field._add(d.rep, field._neg(c.rep) if negate else c.rep)
             if field._is_zero(r):
                 del out[e]
             else:
                 out[e] = FieldElement(field, r)
         else:
-            s = _sum(d, c)
+            s = _sum(d, c, negate)
             if s.is_zero():
                 del out[e]
             else:
                 out[e] = s
     return _clean_series(a.ring, out, bound)
+
+
+def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
+    """Add a*b into acc = [coeffs, bound] of a's ring: by Kronecker
+    substitution when the ring packs and the operands are dense enough, else
+    by the pair loop.  An exact zero factor adds nothing, not even a bound."""
+    if a.is_zero() or b.is_zero():
+        return
+    p = a.ring.packed_prime
+    if (
+        p is None
+        or len(a.coeffs) * len(b.coeffs) < KRONECKER_MIN_PAIRS
+        or not _kronecker_mul_into(acc, a, b, p)
+    ):
+        _mul_into(acc, a, b)
+
+
+class ProductSum:
+    """A sum of products x*y in one ring, boxed once.
+
+    Every product is added into one [coeffs, bound] accumulator, as a single
+    product is, and result() boxes the sum.  The windows are those of the
+    boxed products summed one by one: a sum's bound at every level is the
+    least bound of its summands, however they are grouped.  Over a field (a
+    tower of height 0) the products are summed as field elements.
+    """
+
+    __slots__ = ("ring", "acc")
+
+    def __init__(self, ring):
+        self.ring = ring
+        self.acc = ring.zero() if isinstance(ring, Field) else [{}, None]
+
+    def add(self, x, y) -> None:
+        """Add x*y."""
+        ring = self.ring
+        for s in (x, y):
+            s_ring = s.field if isinstance(s, FieldElement) else getattr(s, "ring", None)
+            if s_ring is not ring and s_ring != ring:
+                raise DescriptorMismatchError("factors from different rings combined")
+        if isinstance(self.acc, FieldElement):
+            self.acc += x * y
+        else:
+            _add_product(self.acc, x, y)
+
+    def result(self):
+        acc = self.acc
+        return acc if isinstance(acc, FieldElement) else _box(self.ring, acc)
 
 
 def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
@@ -550,30 +592,32 @@ def _unpack_into(acc, level, base, lows, highs, strides, data, width, p) -> None
 
     The windows are already set.  Only the nodes inside their parents'
     windows are visited, and only the slots below each level-0 bound are
-    read; a slot's sum mod p is written when it is nonzero.
+    read; a slot's sum mod p is added into the representative already there.
+    acc may hold earlier products, so only its nodes inside this product's
+    exponent range [lows[k], highs[k]] have slots.
     """
     coeffs, bound = acc
-    low = lows[level]
+    low, high = lows[level], highs[level]
     if not level:
-        stop = highs[0] + 1 if bound is None or bound > highs[0] else bound
+        stop = high + 1 if bound is None or bound > high else bound
         if stop > low:
             for e, v in enumerate(_read_slots(data, base, base + stop - low, width), low):
                 v %= p
                 if v:
-                    coeffs[e] = v
+                    coeffs[e] = (coeffs[e] + v) % p if e in coeffs else v
         return
     stride = strides[level]
     for e, child in coeffs.items():
-        if bound is None or e < bound:
+        if low <= e <= high and (bound is None or e < bound):
             _unpack_into(
                 child, level - 1, base + (e - low) * stride, lows, highs, strides, data, width, p
             )
 
 
 def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -> bool:
-    """Put a*b into the fresh acc by Kronecker substitution, or return False
-    and leave acc alone when the operands are too sparse for it.  Operands
-    of which one has no field term get their windows alone.
+    """Add a*b into acc by Kronecker substitution, or return False and leave
+    acc alone when the operands are too sparse for it.  Operands of which
+    one has no field term add their windows alone.
 
     The ring is untwisted at every level over F_p.  A field term whose
     exponents are e_k at level k (0 innermost) goes to slot
@@ -598,7 +642,7 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -
         size = strides.pop()
         if size > KRONECKER_SLOTS_PER_PAIR * na * nb:
             return False
-    acc[1] = _product_bound(None, *sa[:2], *sb[:2])
+    acc[1] = _product_bound(acc[1], *sa[:2], *sb[:2])
     if sa[2] and sb[2]:
         _window_into(acc[0], acc[1], sa[2], sb[2])
     if na and nb:

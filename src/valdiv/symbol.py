@@ -30,7 +30,7 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import FieldElement, _binary_power, has_order
-from .laurent import INFINITE_VALUATION, Tower, TowerElement, unit_is_square
+from .laurent import INFINITE_VALUATION, ProductSum, Tower, TowerElement, unit_is_square
 from .ordered import Lattice, QuotientStructure, _prime_factors, quotient
 
 
@@ -301,12 +301,13 @@ def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
 class AlgebraElement:
     """Normal-form element sum c_kl i^k j^l with tower-field coefficients."""
 
-    __slots__ = ("algebra", "coeffs", "_prd")
+    __slots__ = ("algebra", "coeffs", "_prd", "_inv")
 
     def __init__(self, algebra: SymbolAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {kl: c for kl, c in coeffs.items() if not c.is_zero()}
         self._prd = None
+        self._inv = None
 
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
@@ -326,26 +327,48 @@ class AlgebraElement:
         return self + (-other)
 
     def __mul__(self, other):
-        """Normal-form product via j^l i^k = omega^(lk) i^k j^l."""
+        """Normal-form product via j^l i^k = omega^(lk) i^k j^l.
+
+        The pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds omega^m c1 c2, m = l1 k2,
+        to the key (k1 + k2, l1 + l2), times a or b where i^n or j^n wraps.
+        The keys are summed one at a time, in the order the pairs first meet
+        them, with one ProductSum per phase m scaled by omega^m once.  A wrap
+        pair's product is ((c1 c2) a) b, the last factor going to the sum.
+        """
         self._check(other)
         alg = self.algebra
-        n = alg.degree
-        out: dict = {}
+        n, tower = alg.degree, alg.tower
+        ring, a, b = tower.top_ring(), alg.a.payload, alg.b.payload
+        pairs_by_key: dict = {}
         for (k1, l1), c1 in self.coeffs.items():
             for (k2, l2), c2 in other.coeffs.items():
-                c = c1 * c2
-                phase = alg._omega_pow[(l1 * k2) % n] if n > 1 else None
-                if phase is not None and phase != alg.tower.base.one():
-                    c = c.scale(phase)
+                factors = [c1.payload, c2.payload]
                 k, l = k1 + k2, l1 + l2
                 if k >= n:
-                    c = c * alg.a
+                    factors.append(a)
                     k -= n
                 if l >= n:
-                    c = c * alg.b
+                    factors.append(b)
                     l -= n
-                key = (k, l)
-                out[key] = out[key] + c if key in out else c
+                pairs_by_key.setdefault((k, l), []).append(((l1 * k2) % n, factors))
+        out = {}
+        for key, pairs in pairs_by_key.items():
+            sums: dict = {}
+            for m, factors in pairs:
+                left = factors[0]
+                for f in factors[1:-1]:
+                    left = left * f
+                total = sums.get(m)
+                if total is None:
+                    total = sums[m] = ProductSum(ring)
+                total.add(left, factors[-1])
+            c = None
+            for m, total in sums.items():
+                part = TowerElement(tower, total.result())
+                if m:
+                    part = part.scale(alg._omega_pow[m])
+                c = part if c is None else c + part
+            out[key] = c
         return AlgebraElement(alg, out)
 
     def scale(self, c) -> "AlgebraElement":
@@ -442,8 +465,11 @@ class AlgebraElement:
         """Inverse via the reduced characteristic polynomial.
 
         From e^n + c_{n-1} e^{n-1} + ... + c_0 = 0 and c_0 = (-1)^n Nrd(e),
-        the inverse is -(e^{n-1} + c_{n-1} e^{n-2} + ... + c_1) / c_0.
+        the inverse is -(e^{n-1} + c_{n-1} e^{n-2} + ... + c_1) / c_0.  The
+        result is cached; no code mutates an element, so it is returned as is.
         """
+        if self._inv is not None:
+            return self._inv
         alg = self.algebra
         poly = self.prd()
         c0 = poly[0]
@@ -460,7 +486,8 @@ class AlgebraElement:
             coeff = poly[k]  # includes the monic leading 1 at k = n
             if not coeff.is_zero():
                 acc = acc + power.scale(coeff)
-        return (-acc).scale(c0_inv)
+        self._inv = (-acc).scale(c0_inv)
+        return self._inv
 
     def valuation(self):
         """v(e) = v(Nrd(e)) / degree; INFINITE marker for exact zero."""
@@ -534,9 +561,13 @@ def _l_agrees(u, v) -> bool:
 
 
 def _l_dot(alg, us, vs):
-    """Sum of the products u * v over L, added into one vector; alpha^n wraps to a."""
-    n = alg.degree
-    out = _l_zero(alg)
+    """Sum of the products u * v over L; alpha^n wraps to a, as (x y) a.
+
+    Each L-index gets one ProductSum when a product first lands there; an
+    index that none reaches is the shared exact zero.
+    """
+    n, tower = alg.degree, alg.tower
+    ring, sums = tower.top_ring(), [None] * n
     for u, v in zip(us, vs):
         for iu, x in enumerate(u):
             if x.is_zero():
@@ -544,13 +575,15 @@ def _l_dot(alg, us, vs):
             for iv, y in enumerate(v):
                 if y.is_zero():
                     continue
-                prod = x * y
-                d = iu + iv
+                left, right, d = x.payload, y.payload, iu + iv
                 if d >= n:
-                    prod = prod * alg.a
+                    left, right = left * right, alg.a.payload
                     d -= n
-                out[d] = out[d] + prod
-    return out
+                total = sums[d]
+                if total is None:
+                    total = sums[d] = ProductSum(ring)
+                total.add(left, right)
+    return [alg._zero if s is None else TowerElement(tower, s.result()) for s in sums]
 
 
 def _l_matrix_mul(alg, A, B):

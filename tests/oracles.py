@@ -449,3 +449,52 @@ def extension_str(coeffs, var):
         else:
             terms.append(power if c == 1 else f"{c}*{power}")
     return " + ".join(terms) if terms else "0"
+
+
+# ---------------------------------------------------------------------------
+# symbol-algebra sums of products, one boxed pair at a time
+
+
+def pairwise_algebra_product(x, y):
+    """x*y in a symbol algebra by the pair loop: every pair product is boxed,
+    scaled by its phase, wrapped by a and b, and summed one by one."""
+    alg = x.algebra
+    n = alg.degree
+    out: dict = {}
+    for (k1, l1), c1 in x.coeffs.items():
+        for (k2, l2), c2 in y.coeffs.items():
+            c = c1 * c2
+            phase = alg._omega_pow[(l1 * k2) % n] if n > 1 else None
+            if phase is not None and phase != alg.tower.base.one():
+                c = c.scale(phase)
+            k, l = k1 + k2, l1 + l2
+            if k >= n:
+                c = c * alg.a
+                k -= n
+            if l >= n:
+                c = c * alg.b
+                l -= n
+            key = (k, l)
+            out[key] = out[key] + c if key in out else c
+    return type(x)(alg, out)
+
+
+def pairwise_l_dot(alg, us, vs):
+    """Sum of the products u * v over L = F[alpha]/(alpha^n - a), every pair
+    product boxed and added into one vector; alpha^n wraps to a."""
+    n = alg.degree
+    out = [alg._zero] * n
+    for u, v in zip(us, vs):
+        for iu, x in enumerate(u):
+            if x.is_zero():
+                continue
+            for iv, y in enumerate(v):
+                if y.is_zero():
+                    continue
+                prod = x * y
+                d = iu + iv
+                if d >= n:
+                    prod = prod * alg.a
+                    d -= n
+                out[d] = out[d] + prod
+    return out

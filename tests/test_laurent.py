@@ -636,3 +636,36 @@ def test_kronecker_windows_with_empty_children(monkeypatch, height):
         assert _checked_product(monkeypatch, exact, a)
         assert _checked_product(monkeypatch, a, exact)
         assert _checked_product(monkeypatch, a, a)
+
+
+# --- sums of products in one accumulator ---------------------------------------
+
+
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+def test_product_sum_of_two_kronecker_products_apart(monkeypatch, height, truncate):
+    """Two products whose exponent ranges do not overlap, added in either
+    order, both by Kronecker substitution, sum to _sum of the boxed products."""
+    rng = random.Random(f"apart/{height}/{truncate}")
+    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    counts = [6] + [3] * (height - 1)
+    low = [_grid(ring, rng, counts, low=-3, truncate=truncate) for _ in range(2)]
+    high = [_grid(ring, rng, counts, low=20, truncate=truncate) for _ in range(2)]
+    assert _checked_product(monkeypatch, *low) and _checked_product(monkeypatch, *high)
+    want = series_plain(laurent._sum(low[0] * low[1], high[0] * high[1]))
+    kronecker = []
+    real = laurent._kronecker_mul_into
+
+    def counted(*args):
+        kronecker.append(real(*args))
+        return kronecker[-1]
+
+    for first, second in ((low, high), (high, low)):
+        kronecker.clear()
+        total = laurent.ProductSum(ring)
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent, "_kronecker_mul_into", counted)
+            total.add(*first)
+            total.add(*second)
+        assert kronecker == [True, True]
+        assert series_plain(total.result()) == want

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from valdiv import laurent, symbol
 from valdiv.errors import (
     FieldConstructionError,
     InvariantBreachError,
@@ -23,7 +24,7 @@ from conftest import (
     make_symbol_xy,
     random_algebra_element,
 )
-from oracles import left_regular_det
+from oracles import left_regular_det, pairwise_algebra_product, pairwise_l_dot, series_plain
 
 F = Fraction
 
@@ -493,3 +494,111 @@ def test_relation_check_catches_a_phase_that_is_no_root_of_unity():
     alg._omega_pow = [alg.tower.base.element(3) ** k for k in range(3)]
     with pytest.raises(InvariantBreachError, match="n-th powers"):
         alg.verify_splitting_relations()
+
+
+def test_inverse_is_cached(monkeypatch):
+    alg = make_symbol_xy(3, 7)
+    e = alg.one() + alg.i() + alg.j()
+    first = e.inv()
+    products = []
+    real = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    assert e.inv() is first
+    assert products == []
+
+
+# --- sums of products against the pairwise sums ---------------------------------
+
+_VARIABLES = ["x", "y", "z"]
+_PRODUCT_SUM_CASES = (
+    [("F61", height, n) for height in (1, 2, 3) for n in range(2, 7)]
+    + [("F7[w]/(w^3-2)", height, 3) for height in (1, 2, 3)]
+    + [("Q", height, 2) for height in (1, 2, 3)]
+)
+
+
+def _product_sum_algebra(base, height, n):
+    """Degree n over base((x))...: a = x + O(x^3) truncated in its innermost
+    slot, b = 1 + (outermost variable), at precision 8."""
+    variables = _VARIABLES[:height]
+    marker = "*".join([f"{v}^0" for v in reversed(variables[1:])] + ["x^3"])
+    tower = "".join(f"(({v}))" for v in variables)
+    return parse_algebra(
+        f"symbol(n={n}, omega=auto, a=x+O({marker}), b=1+{variables[-1]}) over {base}{tower}",
+        8,
+    )
+
+
+def _product_sum_operands(alg, rng):
+    """A sparse element, one with dense truncated coefficients (an inverse in
+    the tower), and a truncated inverse in the algebra."""
+    tower = alg.tower
+    sparse = random_algebra_element(alg, rng, terms=3)
+    dense = (tower.one() + tower.var("x") + tower.var(_VARIABLES[tower.height - 1])).inv()
+    mixed = sparse + alg.monomial(1, 1, dense) + alg.scalar(dense)
+    inverse = (alg.one() + alg.monomial(1, 1, tower.var("x"))).inv()
+    return [sparse, mixed, inverse]
+
+
+def _algebra_plain(e):
+    return [(kl, series_plain(c.payload)) for kl, c in e.coeffs.items()]
+
+
+@pytest.mark.parametrize(
+    "base, height, n", _PRODUCT_SUM_CASES, ids=[f"{b}/h{h}/n{n}" for b, h, n in _PRODUCT_SUM_CASES]
+)
+def test_sums_of_products_match_the_pairwise_sums(monkeypatch, base, height, n):
+    """Every coefficient and every bound at every nesting level, and the key
+    order, of algebra products and of L-dot products of splitting-matrix rows
+    and columns equal those of the pairwise oracles."""
+    alg = _product_sum_algebra(base, height, n)
+    operands = _product_sum_operands(alg, random.Random(f"{base}/{height}/{n}"))
+    paths = {"kronecker": 0, "loop": 0}
+    real_kronecker, real_loop = laurent._kronecker_mul_into, laurent._mul_into
+
+    def kronecker(acc, *args):
+        held = bool(acc[0]) or acc[1] is not None
+        took = real_kronecker(acc, *args)
+        paths["kronecker"] += took and held
+        return took
+
+    def loop(acc, *args):
+        paths["loop"] += bool(acc[0]) or acc[1] is not None
+        return real_loop(acc, *args)
+
+    for x in operands:
+        for y in operands:
+            with monkeypatch.context() as patch:
+                patch.setattr(laurent, "_kronecker_mul_into", kronecker)
+                patch.setattr(laurent, "_mul_into", loop)
+                product = x * y
+            assert _algebra_plain(product) == _algebra_plain(pairwise_algebra_product(x, y))
+    for x, y in zip(operands, operands[::-1]):
+        rows, cols = x.splitting_matrix(), list(zip(*y.splitting_matrix()))
+        for row in rows:
+            for col in cols:
+                got, want = symbol._l_dot(alg, row, col), pairwise_l_dot(alg, row, col)
+                assert [series_plain(u.payload) for u in got] == [
+                    series_plain(u.payload) for u in want
+                ]
+    # products added to a sum that already held one, on either side of the
+    # Kronecker gate
+    assert paths["loop"] > 0
+    assert paths["kronecker"] > 0 or base != "F61"
+
+
+def test_l_dot_leaves_entries_no_product_reaches_the_shared_zero():
+    alg = make_symbol_xy(3, 7)
+    x, y = alg.tower.var("x"), alg.tower.var("y")
+    zero = alg.tower.zero()
+    us = [[x, zero, zero], [zero, y, zero]]
+    vs = [[zero, y, zero], [x, zero, zero]]
+    got = symbol._l_dot(alg, us, vs)
+    assert got[0] is alg._zero
+    assert got[1] == x * y + y * x
+    assert got[2] is alg._zero
