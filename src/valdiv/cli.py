@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_wit = sub.add_parser("sk1-witness", help="commutator witnesses for norm-one elements")
     p_wit.add_argument("--algebra", required=True)
-    p_wit.add_argument("--count", type=int, default=5)
+    p_wit.add_argument("--count", type=_positive, default=5)
     _add_common(p_wit)
 
     p_ver = sub.add_parser("verdict", help="triviality verdict for an algebra")

@@ -350,7 +350,7 @@ def _apply_marker(payload, prefix, bound, tokens, tower):
         tokens._fail("truncation marker deeper than the tower")
     inner = payload.coeffs.get(e)
     if inner is None:
-        inner = payload.ring.coeff_zero()
+        inner = payload.ring.coeff_ring.zero()
         if isinstance(inner, FieldElement):
             tokens._fail("truncation marker deeper than the tower")
     new_inner = _apply_marker(inner, prefix[1:], bound, tokens, tower)

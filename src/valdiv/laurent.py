@@ -119,9 +119,6 @@ class SeriesRing:
         twist = "" if self.sigma is None else ", sigma"
         return f"{self.coeff_ring}(({self.var}{twist}))"
 
-    def coeff_zero(self):
-        return self.coeff_ring.zero()
-
     def coeff_one(self):
         return self.coeff_ring.one()
 
@@ -233,19 +230,6 @@ class LaurentSeries:
         acc = [{}, None]
         _add_product(acc, self, other)
         return _box(self.ring, acc)
-
-    def scale(self, c) -> "LaurentSeries":
-        """Multiply every coefficient by a constant of the coefficient ring."""
-        return type(self)(
-            self.ring, {e: v * c for e, v in self.coeffs.items()}, self.bound
-        )
-
-    def shift(self, k: int) -> "LaurentSeries":
-        return type(self)(
-            self.ring,
-            {e + k: c for e, c in self.coeffs.items()},
-            None if self.bound is None else self.bound + k,
-        )
 
     def inv(self) -> "LaurentSeries":
         """Inverse by the coefficient recurrence, to the input's relative precision.

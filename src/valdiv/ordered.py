@@ -164,68 +164,22 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], ncols: int) -> list[list[
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Diagonal of the Smith normal form: nonnegative, divisibility chain."""
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    diag: list[int] = []
-    top = 0
-    while top < min(m, n):
-        piv = next(
-            ((i, j) for i in range(top, m) for j in range(top, n) if a[i][j]), None
-        )
-        if piv is None:
-            break
-        i0, j0 = piv
-        a[top], a[i0] = a[i0], a[top]
-        if j0 != top:
-            for r in a:
-                r[top], r[j0] = r[j0], r[top]
-        while True:
-            for i in range(top + 1, m):
-                if a[i][top]:
-                    d, b = a[top][top], a[i][top]
-                    if b % d == 0:
-                        q = b // d
-                        a[i] = [y - q * x for x, y in zip(a[top], a[i])]
-                    else:
-                        g, u, v = xgcd(d, b)
-                        pa, pb = d // g, b // g
-                        rt, ri = a[top], a[i]
-                        a[top] = [u * x + v * y for x, y in zip(rt, ri)]
-                        a[i] = [-pb * x + pa * y for x, y in zip(rt, ri)]
-            if any(a[top][j] for j in range(top + 1, n)):
-                for j in range(top + 1, n):
-                    if a[top][j]:
-                        d, b = a[top][top], a[top][j]
-                        if b % d == 0:
-                            q = b // d
-                            for r in a:
-                                r[j] -= q * r[top]
-                        else:
-                            g, u, v = xgcd(d, b)
-                            pa, pb = d // g, b // g
-                            for r in a:
-                                x, y = r[top], r[j]
-                                r[top] = u * x + v * y
-                                r[j] = -pb * x + pa * y
-                continue
-            if any(a[i][top] for i in range(top + 1, m)):
-                continue
-            d = a[top][top]
-            bad = next(
-                (
-                    i
-                    for i in range(top + 1, m)
-                    if any(a[i][j] % d for j in range(top + 1, n))
-                ),
-                None,
-            )
-            if bad is None:
-                break
-            a[top] = [x + y for x, y in zip(a[top], a[bad])]
-        diag.append(abs(a[top][top]))
-        top += 1
+    """Diagonal of the Smith normal form: positive entries in a divisibility
+    chain, as many as the rank.
+
+    Row Hermite forms of the matrix and of its transpose alternate until no
+    row holds two nonzero entries (the leading pivot never grows, and shrinks
+    until it divides its row and column); gcd/lcm exchanges then order the
+    surviving pivots.
+    """
+    a = hermite_normal_form(rows, len(rows[0]) if rows else 0)
+    while any(sum(map(bool, r)) > 1 for r in a):
+        a = hermite_normal_form(zip(*a), len(a))
+    diag = [max(r) for r in a]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            g = gcd(diag[i], diag[j])
+            diag[i], diag[j] = g, diag[i] * diag[j] // g
     return diag
 
 
@@ -354,15 +308,11 @@ class Lattice:
         return all(row in self for row in other.fraction_rows())
 
     def q_rank(self, q: int) -> int:
-        """dim over F_q of L/qL, via the Smith form of the presentation."""
+        """dim over F_q of L/qL: L is free of rank k = rational_rank, so
+        L/qL ≅ (Z/q)^k."""
         if not is_prime(q):
             raise UsageError(f"{q} is not prime")
-        k = self.rational_rank
-        if k == 0:
-            return 0
-        relations = [[q if i == j else 0 for j in range(k)] for i in range(k)]
-        diag = smith_normal_form(relations)
-        return sum(1 for d in diag if d % q == 0)
+        return self.rational_rank
 
     def __add__(self, other: "Lattice") -> "Lattice":
         if other.ambient_rank != self.ambient_rank:
@@ -432,11 +382,8 @@ def quotient(big: Lattice, small: Lattice) -> QuotientStructure:
         raise InfiniteIndexError(
             f"rational rank drops from {big.rational_rank} to {small.rational_rank}"
         )
-    k = big.rational_rank
-    if k == 0:
-        return QuotientStructure(())
     diag = smith_normal_form(coord_rows)
-    if len(diag) < k or any(d == 0 for d in diag):
+    if len(diag) < big.rational_rank:
         raise InfiniteIndexError("change-of-basis matrix is singular")
     return QuotientStructure(tuple(d for d in diag if d != 1))
 

@@ -28,6 +28,9 @@ from .laurent import INFINITE_VALUATION
 from .ordered import QuotientStructure, _prime_factors
 from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra
 
+# candidates drawn by the randomized engines before they give up
+RETRIES = 16
+
 
 @dataclass(frozen=True)
 class NormOneElement:
@@ -139,7 +142,7 @@ def kappa(algebra: SymbolAlgebra, gamma, delta) -> NormOneElement:
 # Hilbert 90 and Skolem-Noether, both generate-and-verify
 
 
-def hilbert90_decompose(a, sigma, order: int, sample, retries: int = 16):
+def hilbert90_decompose(a, sigma, order: int, sample):
     """Solve a = c * sigma(c)^-1 for a norm-one element of a cyclic layer.
 
     sigma is any callable realizing the generator of the action (a field
@@ -156,7 +159,7 @@ def hilbert90_decompose(a, sigma, order: int, sample, retries: int = 16):
     one = _one_like(a)
     if not _equalish(nrm, one):
         raise NormCertificateError(f"norm along the cyclic layer is {nrm}, not 1")
-    for attempt in range(retries):
+    for attempt in range(RETRIES):
         b = sample(attempt)
         c = None
         prefix = None
@@ -176,7 +179,7 @@ def hilbert90_decompose(a, sigma, order: int, sample, retries: int = 16):
         if _equalish(a * sigma(c), c):
             return c
     raise DegenerateDecompositionError(
-        f"no nonzero resolvent found in {retries} retries"
+        f"no nonzero resolvent found in {RETRIES} retries"
     )
 
 
@@ -204,7 +207,6 @@ def skolem_noether_conjugator(
     k_elem: AlgebraElement,
     target: AlgebraElement,
     rng: random.Random | None = None,
-    retries: int = 16,
 ) -> AlgebraElement:
     """Invertible x with x k x^-1 = target, via the linear system x k = target x.
 
@@ -234,7 +236,7 @@ def skolem_noether_conjugator(
     if not kernel:
         raise ConjugatorSearchError("conjugation system has trivial nullspace")
     rng = rng or random.Random(0)
-    for _ in range(retries):
+    for _ in range(RETRIES):
         coeffs = [rng.randint(0, 4) for _ in kernel]
         if not any(coeffs):
             coeffs[rng.randrange(len(kernel))] = 1
@@ -260,7 +262,7 @@ def skolem_noether_conjugator(
             continue
         if (cand * k_elem * cand.inv()).agrees_to_precision(target):
             return cand
-    raise ConjugatorSearchError(f"no invertible conjugator in {retries} retries")
+    raise ConjugatorSearchError(f"no invertible conjugator in {RETRIES} retries")
 
 
 def _nullspace(alg, mat):
@@ -325,7 +327,6 @@ def _term_count(tower_elem) -> int:
 def decompose_norm_one(
     cert: NormOneElement,
     rng: random.Random | None = None,
-    retries: int = 16,
 ) -> CommutatorWitness:
     """Write a certified norm-one element as a product of commutators.
 
@@ -380,7 +381,7 @@ def decompose_norm_one(
             power = power * e
         return out
 
-    c = hilbert90_decompose(e, sigma, order, sample, retries=retries)
+    c = hilbert90_decompose(e, sigma, order, sample)
     witness = CommutatorWitness(((c, conj_by),), e)
     if not witness.verify():
         raise DegenerateDecompositionError("resolvent witness failed verification")
@@ -432,43 +433,32 @@ def _action_order(e: AlgebraElement, sigma, bound: int) -> int | None:
 # diagram context and verdict rules
 
 
-def compute_zeta(
-    report: RamificationReport, residue_data: dict | None = None
-) -> DiagramContext:
+def compute_zeta(report: RamificationReport) -> DiagramContext:
     """Index bookkeeping for the norm-one column.
 
     Tame algebras report zeta 1 (the tameness rule); the literal quotient
-    ind / (ind_0 * [Z(D_0):F_0]) is also recorded whenever the residue data
-    pin it down, together with a note when the two disagree.
+    ind / (ind_0 * [Z(D_0):F_0]) is also recorded for totally ramified and
+    semiramified division algebras, where ind_0 = 1, together with a note
+    when the two disagree.
     """
     notes: list[str] = []
     inputs: dict | None = None
     formula_value: int | None = None
     ind = report.degree if report.is_division else None
-    residue_ind: int | None = None
-    residue_center_degree: int | None = None
-    if report.is_totally_ramified:
-        residue_ind, residue_center_degree = 1, 1
-    elif report.is_semiramified:
-        residue_ind, residue_center_degree = 1, report.residue_degree
-    elif residue_data:
-        residue_ind = residue_data.get("residue_index")
-        residue_center_degree = residue_data.get("residue_center_degree")
+    # [Z(D_0):F_0], which is also the order of the residue Galois group
     galois_order: int | None = None
     if report.is_totally_ramified:
         galois_order = 1
     elif report.is_semiramified:
         galois_order = report.residue_degree
-    elif residue_data:
-        galois_order = residue_data.get("galois_order")
 
-    if ind and residue_ind and residue_center_degree:
+    if ind and galois_order:
         inputs = {
             "algebra_index": ind,
-            "residue_index": residue_ind,
-            "residue_center_degree": residue_center_degree,
+            "residue_index": 1,
+            "residue_center_degree": galois_order,
         }
-        quotient_val = Fraction(ind, residue_ind * residue_center_degree)
+        quotient_val = Fraction(ind, galois_order)
         if quotient_val.denominator == 1:
             formula_value = int(quotient_val)
 

@@ -6,7 +6,7 @@ direct definitions, with no shared code paths with the library kernels.
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd, prod
 
 
@@ -89,6 +89,34 @@ def abelian_invariant_factors(relation_rows):
         if ok:
             return tuple(d for d in chain if d > 1)
     raise AssertionError("no abelian group matches the order statistics")
+
+
+def _integer_det(rows):
+    """Determinant of a square integer matrix by cofactor expansion."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * x * _integer_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j, x in enumerate(rows[0])
+        if x
+    )
+
+
+def determinantal_invariants(rows):
+    """Smith diagonal by determinantal divisors: d_k is the gcd of all k x k
+    minors and s_k = d_k / d_(k-1), for every k up to the rank."""
+    m, n = len(rows), len(rows[0]) if rows else 0
+    out, previous = [], 1
+    for k in range(1, min(m, n) + 1):
+        d = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                d = gcd(d, _integer_det([[rows[i][j] for j in cs] for i in rs]))
+        if d == 0:
+            break
+        out.append(d // previous)
+        previous = d
+    return out
 
 
 def divisors(n):

@@ -1,8 +1,11 @@
 import json
 
+import pytest
 
+from valdiv import pipeline
 from valdiv.cli import main
 from valdiv.pipeline import run_example, selftest, sk1_witness_batch
+from valdiv.symbol import AlgebraElement
 
 from conftest import make_quaternion_f5
 
@@ -184,8 +187,19 @@ def test_selftest_empty_sizes_vacuous_pass():
     )
 
 
-def test_selftest_detects_injected_mutant():
-    summary = selftest(seed=3, sizes={"norms": 10}, mutant="break_product")
+def test_selftest_detects_injected_mutant(monkeypatch):
+    # the norm suite runs with a product that adds i to every result
+    product, norm_suite = AlgebraElement.__mul__, pipeline._suite_norms
+
+    def broken_norm_suite(rng, cases):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(
+                AlgebraElement, "__mul__", lambda x, y: product(x, y) + x.algebra.i()
+            )
+            return norm_suite(rng, cases)
+
+    monkeypatch.setattr(pipeline, "_suite_norms", broken_norm_suite)
+    summary = selftest(seed=3, sizes={"norms": 10})
     by_name = {s["suite"]: s for s in summary["suites"]}
     assert by_name["norm_multiplicativity"]["failures"] > 0
     assert summary["ok"] is False
@@ -202,7 +216,9 @@ def test_witness_batch_determinism():
 def _assert_input_error(capsys, *argv):
     code, out = _run(capsys, *argv)
     assert code == 2
-    assert "error" in json.loads(out)
+    payload = json.loads(out)
+    assert "error" in payload
+    return payload["error"]
 
 
 def test_verdict_non_prime_q_is_input_error(capsys):
@@ -225,6 +241,19 @@ def test_zero_precision_is_input_error(capsys):
 
 def test_selftest_bad_size_count_is_input_error(capsys):
     _assert_input_error(capsys, "selftest", "--sizes", "lattice=abc")
+
+
+def test_selftest_unknown_suite_is_input_error(capsys):
+    error = _assert_input_error(capsys, "selftest", "--sizes", "lattices=5")
+    assert "lattices" in error and "lattice, fields" in error
+
+
+def test_witness_count_below_one_is_input_error(capsys):
+    for count in ("0", "-3"):
+        _assert_input_error(
+            capsys, "sk1-witness", "--count", count, "--algebra",
+            "symbol(n=2, omega=-1, a=2, b=t) over F5((t))",
+        )
 
 
 def test_non_integer_q_is_json_input_error(capsys):

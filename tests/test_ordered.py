@@ -19,6 +19,7 @@ from valdiv.ordered import (
 
 from oracles import (
     abelian_invariant_factors,
+    determinantal_invariants,
     minimal_generating_set_size,
     row_reduce_rank,
     trial_division_factors,
@@ -289,6 +290,42 @@ def test_snf_matches_brute_force_group_enumeration():
         expected = abelian_invariant_factors(mat)
         assert tuple(d for d in diag if d > 1) == expected
         checked += 1
+
+
+def test_snf_fixed_cases():
+    for mat, expected in (
+        ([[4, 0], [0, 6]], [2, 12]),
+        ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+        ([[0, 0], [0, 0]], []),
+        ([], []),
+        ([[], []], []),
+    ):
+        assert smith_normal_form(mat) == expected
+        assert determinantal_invariants(mat) == expected
+
+
+def test_snf_matches_determinantal_divisors():
+    rng = random.Random(31)
+    seen = {"zero": 0, "singular": 0, "non_square": 0, "empty": 0}
+    for _ in range(2000):
+        m, n = rng.randint(0, 5), rng.randint(0, 6)
+        kind = rng.random()
+        if kind < 0.1:
+            mat = [[0] * n for _ in range(m)]
+        elif kind < 0.35 and m >= 2:
+            # the last row is an integer combination of the others
+            mat = [[rng.randint(-6, 6) for _ in range(n)] for _ in range(m - 1)]
+            c = [rng.randint(-2, 2) for _ in mat]
+            mat.append([sum(ci * r[j] for ci, r in zip(c, mat)) for j in range(n)])
+        else:
+            mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        expected = determinantal_invariants(mat)
+        assert smith_normal_form(mat) == expected, mat
+        seen["zero"] += not any(map(any, mat))
+        seen["singular"] += m == n and len(expected) < m
+        seen["non_square"] += m != n
+        seen["empty"] += m * n == 0
+    assert min(seen.values()) >= 50, seen
 
 
 def test_json_round_trip():
