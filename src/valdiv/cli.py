@@ -134,48 +134,38 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         fmt = args.format
-        return _dispatch(args)
+        payload, code = _dispatch(args)
     except ValdivError as exc:
-        _emit({"schema": SCHEMA_VERSION, "error": str(exc)}, fmt)
-        return 2 if isinstance(exc, (ParseError, UndefinedValueError, UsageError)) else 1
+        payload = {"error": str(exc)}
+        code = 2 if isinstance(exc, (ParseError, UndefinedValueError, UsageError)) else 1
+    _emit({"schema": SCHEMA_VERSION, **payload}, fmt)
+    return code
 
 
-def _dispatch(args) -> int:
+def _dispatch(args) -> tuple[dict, int]:
+    """The command's payload, without the schema key, and its exit code."""
     if args.command == "cd":
         profile = parse_profile(args.profile)
         result = profile.cd_q(args.q)
-        _emit(
-            {
-                "schema": SCHEMA_VERSION,
-                "profile": profile.describe(),
-                "q": args.q,
-                "r_q": profile.r_q(args.q),
-                "cd_q": result.describe(),
-                "kind": result.kind,
-                "value": result.value,
-            },
-            args.format,
-        )
-        return 0
+        payload = {
+            "profile": profile.describe(),
+            "q": args.q,
+            "r_q": profile.r_q(args.q),
+            "cd_q": result.describe(),
+            "kind": result.kind,
+            "value": result.value,
+        }
+        return payload, 0
 
     if args.command == "classify":
         algebra = parse_algebra(args.algebra, default_prec=args.precision)
-        report = algebra.classify()
-        payload = {"schema": SCHEMA_VERSION}
-        payload.update(report.to_json())
-        _emit(payload, args.format)
-        return 0
+        return algebra.classify().to_json(), 0
 
     if args.command == "sk1-witness":
         algebra = parse_algebra(args.algebra, default_prec=args.precision)
         batch = sk1_witness_batch(algebra, count=args.count, seed=args.seed)
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "algebra": print_algebra(algebra),
-            "witnesses": batch,
-        }
-        _emit(payload, args.format)
-        return 0 if all(w["verified"] for w in batch) else 1
+        payload = {"algebra": print_algebra(algebra), "witnesses": batch}
+        return payload, 0 if all(w["verified"] for w in batch) else 1
 
     if args.command == "verdict":
         algebra = parse_algebra(args.algebra, default_prec=args.precision)
@@ -186,27 +176,21 @@ def _dispatch(args) -> int:
             else profile_from_tower(algebra.tower)
         )
         v = verdict(profile, report, args.q)
-        ctx = compute_zeta(report)
         payload = {
-            "schema": SCHEMA_VERSION,
             "algebra": print_algebra(algebra),
             "profile": profile.describe(),
             "q": args.q,
-            "zeta": ctx.zeta,
+            "zeta": compute_zeta(report).zeta,
             "verdict": v.to_json(),
         }
-        _emit(payload, args.format)
-        return 0
+        return payload, 0
 
     if args.command == "example":
-        payload = run_example(args.number, precision=args.precision, seed=args.seed)
-        _emit(payload, args.format)
-        return 0
+        return run_example(args.number, precision=args.precision, seed=args.seed), 0
 
     if args.command == "selftest":
         payload = selftest(seed=args.seed, sizes=args.sizes)
-        _emit(payload, args.format)
-        return 0 if payload["ok"] else 1
+        return payload, 0 if payload["ok"] else 1
 
     raise ValdivError(f"unhandled command {args.command}")
 

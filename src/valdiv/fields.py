@@ -592,13 +592,13 @@ def cyclotomic_polynomial(n: int) -> list[Fraction]:
     return poly
 
 
-def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElement:
+def primitive_root_of_unity(field: Field, n: int) -> FieldElement:
     """A root of unity of exact order n.
 
     Over F_q the least one by sort_key: zeta = h^((q-1)/n), for the first h
     in elements() order with ord(zeta) = n, generates the n-th roots, whose
     elements of order n are the zeta^k with gcd(k, n) = 1.  Over Q the
-    generator of Q[var]/(Phi_n) is returned; over an extension of Q the
+    generator of Q[z]/(Phi_n) is returned; over an extension of Q the
     generator powers and their negatives are tried.
     """
     if n < 1:
@@ -625,7 +625,7 @@ def primitive_root_of_unity(field: Field, n: int, var: str = "z") -> FieldElemen
     if isinstance(field, RationalField):
         if n == 2:
             return field.element(-1)
-        ext = ExtensionField(field, cyclotomic_polynomial(n), var=var)
+        ext = ExtensionField(field, cyclotomic_polynomial(n), var="z")
         return ext.generator()
     if isinstance(field, ExtensionField):
         gen = field.generator()

@@ -119,9 +119,6 @@ class SeriesRing:
         twist = "" if self.sigma is None else ", sigma"
         return f"{self.coeff_ring}(({self.var}{twist}))"
 
-    def coeff_one(self):
-        return self.coeff_ring.one()
-
     def series(self, coeffs: dict, bound: int | None = None) -> "LaurentSeries":
         return LaurentSeries(self, coeffs, bound)
 
@@ -129,17 +126,14 @@ class SeriesRing:
         return self.series({})
 
     def one(self) -> "LaurentSeries":
-        return self.series({0: self.coeff_one()})
+        return self.series({0: self.coeff_ring.one()})
 
     def constant(self, c) -> "LaurentSeries":
         return self.series({0: c})
 
-    def var_element(self) -> "LaurentSeries":
-        return self.series({1: self.coeff_one()})
-
     def monomial(self, exponent: int, c=None) -> "LaurentSeries":
         if c is None:
-            c = self.coeff_one()
+            c = self.coeff_ring.one()
         return self.series({exponent: c})
 
 
@@ -270,9 +264,6 @@ class LaurentSeries:
             {e - lead: c for e, c in inv_coeffs.items()},
             None if exact_monomial else -lead + rel,
         )
-
-    def __pow__(self, exponent: int) -> "LaurentSeries":
-        return _binary_power(self, exponent, self.ring.one())
 
     # -- comparisons ---------------------------------------------------------
 
@@ -975,7 +966,7 @@ class TwistedSeriesRing(SeriesRing):
         return super().monomial(exponent, c)
 
     def t(self) -> "TwistedSeries":
-        return self.var_element()
+        return self.monomial(1)
 
     def monomial_with_value(self, gamma) -> "TwistedSeries":
         if isinstance(gamma, tuple):
@@ -997,17 +988,15 @@ class TwistedSeries(LaurentSeries):
     inv = LaurentSeries.inv
 
 
-def central_indeterminate(
-    ring: TwistedSeriesRing, a: FieldElement | None = None, m: int | None = None
-) -> TwistedSeries:
-    """x = a*t^m commuting with the coefficient field and with t.
+def central_indeterminate(ring: TwistedSeriesRing, m: int | None = None) -> TwistedSeries:
+    """x = t^m commuting with the coefficient field and with t.
 
     With commutative coefficients the requirement is sigma^m = identity, so m
-    must be a multiple of ord(sigma).
+    must be a multiple of ord(sigma), which is the default.
     """
     m = ring.sigma_order if m is None else m
     if m % ring.sigma_order:
         raise FieldConstructionError(
             f"sigma^{m} is not the identity (order {ring.sigma_order})"
         )
-    return ring.monomial(m, a)
+    return ring.monomial(m)

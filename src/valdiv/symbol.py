@@ -2,12 +2,14 @@
 
 (a,b) of degree n with relations i^n = a, j^n = b, j*i = omega*i*j, where
 omega is a primitive n-th root of unity in the coefficient field.  Elements
-are kept in normal form on the basis {i^k j^l}.  The reduced norm, trace and
-characteristic polynomial are computed through an explicit degree-n splitting
-representation over L = F[alpha]/(alpha^n - a), whose defining relations are
-verified once per algebra.  The characteristic polynomial comes from
-Berkowitz's division-free recurrence over L, so truncated coefficients are
-never inverted; the reduced norm is read from its constant term.
+are kept in normal form on the basis {i^k j^l}.  The reduced trace is read
+from the normal form: Trd(i^k j^l) = 0 unless k = l = 0, so Trd(e) = n c_00.
+The reduced norm and characteristic polynomial are computed through an
+explicit degree-n splitting representation over L = F[alpha]/(alpha^n - a),
+whose defining relations are verified once per algebra.  The characteristic
+polynomial comes from Berkowitz's division-free recurrence over L, so
+truncated coefficients are never inverted; the reduced norm is read from its
+constant term.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
 the tower's value group Z^m (outermost variable = most significant).  The
@@ -261,22 +263,21 @@ class SymbolAlgebra:
         )
 
     def _quaternion_division_flag(self, notes: list[str]) -> bool | None:
-        unit_uniformizer = None
         va, vb = self.a.valuation(), self.b.valuation()
         if va == (0,) and vb == (1,):
-            unit_uniformizer = (self.a, self.b)
+            unit, uniformizer = self.a, self.b
         elif vb == (0,) and va == (1,):
-            unit_uniformizer = (self.b, self.a)
-        if unit_uniformizer is None or self.tower.residue_char == 2:
+            unit, uniformizer = self.b, self.a
+        else:
+            unit = None
+        if unit is None or self.tower.residue_char == 2:
             notes.append("division status not decided by the supported criteria")
             return None
-        u, _ = unit_uniformizer
-        result = not unit_is_square(u)
         notes.append(
             "quaternion unit/uniformizer criterion: division iff the unit slot"
             " is a non-square"
         )
-        return result
+        return quaternion_is_division(unit, uniformizer)
 
 
 def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
@@ -324,52 +325,47 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, {kl: -c for kl, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        self._check(other)
+        out = dict(self.coeffs)
+        for kl, c in other.coeffs.items():
+            out[kl] = out[kl] - c if kl in out else -c
+        return AlgebraElement(self.algebra, out)
 
     def __mul__(self, other):
         """Normal-form product via j^l i^k = omega^(lk) i^k j^l.
 
         The pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds omega^m c1 c2, m = l1 k2,
         to the key (k1 + k2, l1 + l2), times a or b where i^n or j^n wraps.
-        The keys are summed one at a time, in the order the pairs first meet
-        them, with one ProductSum per phase m scaled by omega^m once.  A wrap
+        Each key has one ProductSum, created when a pair first meets it.  The
+        phase scales c1, once per phase while c1's row is walked.  A wrap
         pair's product is ((c1 c2) a) b, the last factor going to the sum.
         """
         self._check(other)
         alg = self.algebra
         n, tower = alg.degree, alg.tower
         ring, a, b = tower.top_ring(), alg.a.payload, alg.b.payload
-        pairs_by_key: dict = {}
+        sums: dict = {}
         for (k1, l1), c1 in self.coeffs.items():
+            phased = {0: c1.payload}
             for (k2, l2), c2 in other.coeffs.items():
-                factors = [c1.payload, c2.payload]
-                k, l = k1 + k2, l1 + l2
+                m = (l1 * k2) % n
+                left = phased.get(m)
+                if left is None:
+                    left = phased[m] = c1.scale(alg._omega_pow[m]).payload
+                right, k, l = c2.payload, k1 + k2, l1 + l2
                 if k >= n:
-                    factors.append(a)
+                    left, right = left * right, a
                     k -= n
                 if l >= n:
-                    factors.append(b)
+                    left, right = left * right, b
                     l -= n
-                pairs_by_key.setdefault((k, l), []).append(((l1 * k2) % n, factors))
-        out = {}
-        for key, pairs in pairs_by_key.items():
-            sums: dict = {}
-            for m, factors in pairs:
-                left = factors[0]
-                for f in factors[1:-1]:
-                    left = left * f
-                total = sums.get(m)
+                total = sums.get((k, l))
                 if total is None:
-                    total = sums[m] = ProductSum(ring)
-                total.add(left, factors[-1])
-            c = None
-            for m, total in sums.items():
-                part = TowerElement(tower, total.result())
-                if m:
-                    part = part.scale(alg._omega_pow[m])
-                c = part if c is None else c + part
-            out[key] = c
-        return AlgebraElement(alg, out)
+                    total = sums[(k, l)] = ProductSum(ring)
+                total.add(left, right)
+        return AlgebraElement(
+            alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
+        )
 
     def scale(self, c) -> "AlgebraElement":
         if isinstance(c, FieldElement):
@@ -428,17 +424,9 @@ class AlgebraElement:
         return -c0 if self.algebra.degree % 2 else c0
 
     def trd(self) -> TowerElement:
-        """Reduced trace: trace of the splitting representation (alpha-free)."""
+        """Reduced trace n * c_00: Trd(i^k j^l) = 0 unless k = l = 0."""
         alg = self.algebra
-        alg.verify_splitting_relations()
-        mat = self.splitting_matrix()
-        total = _l_zero(alg)
-        for r in range(alg.degree):
-            total = _l_add(alg, total, mat[r][r])
-        for comp in total[1:]:
-            if not comp.indistinguishable_from_zero():
-                raise InvariantBreachError("reduced trace acquired an alpha component")
-        return total[0]
+        return self.scalar_part().scale(alg.tower.base.element(alg.degree))
 
     def prd(self) -> list[TowerElement]:
         """Reduced characteristic polynomial (low-to-high, monic, degree n).
@@ -486,7 +474,7 @@ class AlgebraElement:
             coeff = poly[k]  # includes the monic leading 1 at k = n
             if not coeff.is_zero():
                 acc = acc + power.scale(coeff)
-        self._inv = (-acc).scale(c0_inv)
+        self._inv = acc.scale(-c0_inv)
         return self._inv
 
     def valuation(self):
@@ -548,16 +536,12 @@ def _l_zero(alg) -> list[TowerElement]:
     return [alg._zero] * alg.degree
 
 
-def _l_add(alg, u, v):
+def _l_add(u, v):
     return [x + y for x, y in zip(u, v)]
 
 
-def _l_neg(alg, u):
+def _l_neg(u):
     return [-x for x in u]
-
-
-def _l_agrees(u, v) -> bool:
-    return all((x - y).indistinguishable_from_zero() for x, y in zip(u, v))
 
 
 def _l_dot(alg, us, vs):
@@ -592,7 +576,12 @@ def _l_matrix_mul(alg, A, B):
 
 
 def _l_matrix_agrees(A, B) -> bool:
-    return all(_l_agrees(x, y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
+    return all(
+        (x - y).indistinguishable_from_zero()
+        for ra, rb in zip(A, B)
+        for u, v in zip(ra, rb)
+        for x, y in zip(u, v)
+    )
 
 
 def _l_charpoly(alg, mat):
@@ -609,19 +598,17 @@ def _l_charpoly(alg, mat):
         block = [row[:k] for row in mat[:k]]
         row = mat[k][:k]
         vec = [mat[r][k] for r in range(k)]
-        column = [None, _l_neg(alg, mat[k][k])]
+        column = [None, _l_neg(mat[k][k])]
         for step in range(k):
             if step:
                 vec = [_l_dot(alg, b, vec) for b in block]
-            column.append(_l_neg(alg, _l_dot(alg, row, vec)))
+            column.append(_l_neg(_l_dot(alg, row, vec)))
         # the leading 1s of column and poly contribute without a product
         new = [poly[0]]
         for i in range(1, k + 2):
-            acc = column[i] if i > k else _l_add(alg, column[i], poly[i])
+            acc = column[i] if i > k else _l_add(column[i], poly[i])
             if i > 1:
-                acc = _l_add(
-                    alg, acc, _l_dot(alg, column[i - 1 : 0 : -1], poly[1:i])
-                )
+                acc = _l_add(acc, _l_dot(alg, column[i - 1 : 0 : -1], poly[1:i]))
             new.append(acc)
         poly = new
     return poly[::-1]

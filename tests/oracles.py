@@ -526,3 +526,17 @@ def pairwise_l_dot(alg, us, vs):
                     d -= n
                 out[d] = out[d] + prod
     return out
+
+
+def splitting_trace(e):
+    """Trd(e) as the trace of the splitting representation: the sum of the
+    diagonal L-entries of rho(e), whose alpha components must vanish."""
+    alg = e.algebra
+    alg.verify_splitting_relations()
+    total = [alg.tower.zero()] * alg.degree
+    for r, row in enumerate(e.splitting_matrix()):
+        total = [x + y for x, y in zip(total, row[r])]
+    for comp in total[1:]:
+        if not comp.indistinguishable_from_zero():
+            raise AssertionError("reduced trace acquired an alpha component")
+    return total[0]

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
-from valdiv import pipeline
-from valdiv.cli import main
+from valdiv import laurent, pipeline
+from valdiv.cli import _text_lines, main
+from valdiv.grammar import parse_algebra, print_algebra
 from valdiv.pipeline import run_example, selftest, sk1_witness_batch
+from valdiv.profiles import profile_from_tower
+from valdiv.sk1 import compute_zeta, verdict
 from valdiv.symbol import AlgebraElement
 
 from conftest import make_quaternion_f5
@@ -187,6 +190,20 @@ def test_selftest_empty_sizes_vacuous_pass():
     )
 
 
+def test_selftest_skips_every_suite_sized_zero(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a suite sized 0 ran")
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", refuse)
+    monkeypatch.setattr(laurent, "hensel_sqrt", refuse)
+    monkeypatch.setattr(pipeline, "verdict", refuse)
+    keys = ("lattice", "fields", "series", "hensel", "twisted",
+            "norms", "valuation", "graded", "witnesses", "verdicts")
+    summary = selftest(seed=1, sizes={k: 0 for k in keys})
+    assert summary["ok"] is True
+    assert [(s["cases"], s["failures"]) for s in summary["suites"]] == [(0, 0)] * len(keys)
+
+
 def test_selftest_detects_injected_mutant(monkeypatch):
     # the norm suite runs with a product that adds i to every result
     product, norm_suite = AlgebraElement.__mul__, pipeline._suite_norms
@@ -356,3 +373,48 @@ def test_reducible_modulus_of_degree_five_is_input_error(capsys):
         capsys, "symbol(n=2, omega=auto, a=t, b=3) over F7[w]/(w^5+w^3+2*w^2+2)((t))"
     )
     assert message.startswith("2 + 2*w^2 + w^3 + w^5 is reducible over F7")
+
+
+_QUATERNION = "symbol(n=2, omega=auto, a=2, b=t) over F5((t))"
+_CUBIC = "symbol(n=3, omega=2, a=x, b=y) over F7((x))((y))"
+
+
+def _cubic_verdict_payload():
+    algebra = parse_algebra(_CUBIC)
+    report = algebra.classify()
+    profile = profile_from_tower(algebra.tower)
+    return {
+        "algebra": print_algebra(algebra),
+        "profile": profile.describe(),
+        "q": 3,
+        "zeta": compute_zeta(report).zeta,
+        "verdict": verdict(profile, report, 3).to_json(),
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["classify", "--algebra", _CUBIC], lambda: parse_algebra(_CUBIC).classify().to_json()),
+        (["verdict", "--algebra", _CUBIC, "--q", "3"], _cubic_verdict_payload),
+        (
+            ["sk1-witness", "--algebra", _QUATERNION, "--count", "2", "--seed", "4"],
+            lambda: {
+                "algebra": print_algebra(parse_algebra(_QUATERNION)),
+                "witnesses": sk1_witness_batch(parse_algebra(_QUATERNION), count=2, seed=4),
+            },
+        ),
+        (
+            ["classify", "--algebra", "symbol(n=2, omega=auto, a=t, b=3) over F8((t))"],
+            None,
+        ),
+    ],
+    ids=["classify", "verdict", "sk1-witness", "input-error"],
+)
+def test_text_format_prints_the_schema_then_the_payload(capsys, argv, payload):
+    json_code, out = _run(capsys, *argv, "--format", "json")
+    text_code, text = _run(capsys, *argv, "--format", "text")
+    assert json_code == text_code == (2 if payload is None else 0)
+    expected = {"error": json.loads(out)["error"]} if payload is None else payload()
+    assert json.loads(out) == json.loads(json.dumps({"schema": 1, **expected}, default=str))
+    assert text.splitlines() == ["schema: 1", *_text_lines(expected, "")]

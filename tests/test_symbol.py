@@ -12,7 +12,7 @@ from valdiv.errors import (
     PrecisionExhaustedError,
     UnsupportedFieldError,
 )
-from valdiv.fields import PrimeField
+from valdiv.fields import QQ, ExtensionField, PrimeField, primitive_root_of_unity
 from valdiv.grammar import parse_algebra
 from valdiv.laurent import INFINITE_VALUATION, Tower
 from valdiv.ordered import Lattice, quotient
@@ -24,7 +24,13 @@ from conftest import (
     make_symbol_xy,
     random_algebra_element,
 )
-from oracles import left_regular_det, pairwise_algebra_product, pairwise_l_dot, series_plain
+from oracles import (
+    left_regular_det,
+    pairwise_algebra_product,
+    pairwise_l_dot,
+    series_plain,
+    splitting_trace,
+)
 
 F = Fraction
 
@@ -602,3 +608,132 @@ def test_l_dot_leaves_entries_no_product_reaches_the_shared_zero():
     assert got[0] is alg._zero
     assert got[1] == x * y + y * x
     assert got[2] is alg._zero
+
+
+# --- the reduced trace from the normal form --------------------------------------
+
+_TRACE_BASES = {
+    "F5": PrimeField(5),
+    "F7": PrimeField(7),
+    "F11": PrimeField(11),
+    "F13": PrimeField(13),
+    "Q": QQ,
+    "F9": ExtensionField(PrimeField(3), [1, 0, 1], var="w"),
+}
+# (base, degree, height); every degree divides the order of the base's unit group
+_TRACE_CASES = [
+    ("F7", 1, 0), ("F7", 2, 1), ("F7", 3, 2), ("F7", 6, 1), ("F7", 3, 0),
+    ("F5", 4, 2), ("F5", 4, 3), ("F11", 5, 1), ("F11", 5, 2), ("F11", 2, 3),
+    ("F13", 3, 3), ("F13", 6, 2), ("F13", 4, 0), ("Q", 1, 1), ("Q", 2, 0),
+    ("Q", 2, 2), ("Q", 2, 3), ("F9", 2, 1), ("F9", 4, 2), ("F9", 1, 3),
+    ("F9", 4, 0), ("F7", 6, 0),
+]
+
+
+def _trace_constant(base, rng):
+    if base.char == 0:
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3))
+    if isinstance(base, PrimeField):
+        return rng.randrange(1, base.p)
+    while True:
+        c = base.element([rng.randrange(base.char) for _ in range(base.degree)])
+        if not c.is_zero():
+            return c
+
+
+def _trace_coefficient(tower, rng):
+    """A sum of monomials, truncated half the time by a unit inverse in the tower."""
+    c = tower.zero()
+    for _ in range(rng.randint(1, 3)):
+        exps = tuple(rng.randint(-1, 2) for _ in range(tower.height))
+        c = c + tower.monomial(exps, _trace_constant(tower.base, rng))
+    if tower.height and rng.random() < 0.5:
+        exps = [0] * tower.height
+        exps[rng.randrange(tower.height)] = 1
+        c = c * (tower.one() + tower.monomial(exps, _trace_constant(tower.base, rng))).inv()
+    return tower.one() if c.is_zero() else c
+
+
+def _has_bound(plain):
+    """Whether a series in the nested form of series_plain is truncated at some level."""
+    return isinstance(plain, tuple) and (
+        plain[1] is not None or any(_has_bound(c) for c in plain[0].values())
+    )
+
+
+def test_trace_from_the_normal_form_matches_the_splitting_trace():
+    """n * c_00 equals the trace of rho(e) in every coefficient and every bound
+    at every level, on 550 elements with exact and truncated coefficients."""
+    rng = random.Random(2016)
+    checked = nonzero = truncated = 0
+    for name, n, height in _TRACE_CASES:
+        base = _TRACE_BASES[name]
+        tower = Tower(base, ["x", "y", "z"][:height], default_prec=6)
+        alg = SymbolAlgebra(
+            tower,
+            n,
+            primitive_root_of_unity(base, n),
+            _trace_coefficient(tower, rng),
+            _trace_coefficient(tower, rng),
+        )
+        for _ in range(25):
+            keys = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3))]
+            keys += [(0, 0)] if rng.random() < 0.7 else []
+            e = alg.element({kl: _trace_coefficient(tower, rng) for kl in keys})
+            trace = series_plain(e.trd().payload)
+            assert trace == series_plain(splitting_trace(e).payload)
+            checked += 1
+            nonzero += not e.trd().is_zero()
+            truncated += _has_bound(trace)
+    assert checked >= 500
+    assert nonzero >= 300
+    assert truncated >= 100
+
+
+def test_trace_builds_no_splitting_matrix(monkeypatch):
+    def refuse(self):
+        raise AssertionError("splitting matrix built")
+
+    monkeypatch.setattr(AlgebraElement, "splitting_matrix", refuse)
+    alg = make_symbol_xy(3, 7)
+    e = alg.scalar(alg.tower.var("x")) + alg.i() + alg.j()
+    assert e.trd() == alg.tower.constant(3) * alg.tower.var("x")
+    assert not alg._splitting_verified
+
+
+def test_algebra_product_has_one_accumulator_per_output_key(monkeypatch):
+    created = []
+
+    class CountedSum(laurent.ProductSum):
+        def __init__(self, ring):
+            super().__init__(ring)
+            created.append(self)
+
+    monkeypatch.setattr(symbol, "ProductSum", CountedSum)
+    alg = make_symbol_xy(3, 7)
+    e = alg.one() + alg.i() + alg.j()
+    square = e * e
+    # 1 + 2i + 2j + i^2 + (1 + omega) ij + j^2: ij and ji share the key (1, 1)
+    assert sorted(square.coeffs) == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+    assert square.coeffs[(1, 1)] == alg.tower.constant(1 + 2)
+    assert len(created) == len(square.coeffs)
+
+
+def test_difference_negates_no_algebra_element(monkeypatch):
+    rng = random.Random(53)
+    pairs = []
+    for alg in (make_symbol_xy(3, 7, prec=6), make_quaternion_f5(prec=6)):
+        tower = alg.tower
+        for _ in range(10):
+            x = random_algebra_element(alg, rng, terms=3)
+            y = random_algebra_element(alg, rng, terms=3)
+            y = y + alg.scalar(_trace_coefficient(tower, rng))
+            pairs.append((x, y, x + (-y)))
+    pairs.append((pairs[0][0], pairs[0][0], pairs[0][0] + (-pairs[0][0])))
+
+    def refuse(self):
+        raise AssertionError("negated a copy")
+
+    monkeypatch.setattr(AlgebraElement, "__neg__", refuse)
+    for x, y, want in pairs:
+        assert _algebra_plain(x - y) == _algebra_plain(want)
