@@ -31,6 +31,7 @@ from .fields import (
     FieldElement,
     PrimeField,
     _binary_power,
+    is_square,
     sqrt as field_sqrt,
 )
 
@@ -717,10 +718,15 @@ class Tower:
     def one(self) -> "TowerElement":
         return self.element(self._nested_constant(self.base.one()))
 
-    def constant(self, value) -> "TowerElement":
+    def _coefficient(self, value) -> FieldElement:
+        """value as a base-field element; one from another field is refused."""
         c = value if isinstance(value, FieldElement) else self.base.element(value)
         if c.field != self.base:
             raise DescriptorMismatchError("constant from a different base field")
+        return c
+
+    def constant(self, value) -> "TowerElement":
+        c = self._coefficient(value)
         return self.element(self._nested_constant(c, zero=c.is_zero()))
 
     def _nested_constant(self, c, zero: bool = False):
@@ -745,16 +751,9 @@ class Tower:
         exponents = tuple(exponents)
         if len(exponents) != self.height:
             raise DescriptorMismatchError("exponent vector length differs from height")
-        c = (
-            self.base.one()
-            if coefficient is None
-            else (
-                coefficient
-                if isinstance(coefficient, FieldElement)
-                else self.base.element(coefficient)
-            )
+        payload: object = (
+            self.base.one() if coefficient is None else self._coefficient(coefficient)
         )
-        payload: object = c
         for level, ring in enumerate(self.rings):
             # ring at index `level` is variable variables[level]: innermost first,
             # which is the LAST entry of the outermost-first exponent vector
@@ -899,20 +898,13 @@ def _payload_certifies_origin(payload) -> bool:
 def hensel_sqrt(u: TowerElement) -> TowerElement | None:
     """Square root of a unit by residue sqrt + Newton lifting, or None.
 
-    Requires valuation 0 and odd residue characteristic.  The returned
-    witness satisfies s*s = u in every certified coefficient.
+    Lifts only a unit that unit_is_square accepts.  The returned witness
+    satisfies s*s = u in every certified coefficient.
     """
-    tower = u.tower
-    if tower.residue_char == 2:
-        raise UnsupportedFieldError("Hensel square testing needs residue char != 2")
-    v = u.valuation()
-    if v is INFINITE_VALUATION or any(x != 0 for x in v):
-        raise NotAUnitError(f"valuation {v} is nonzero; not a unit")
-    r0 = u.residue()
-    s0 = field_sqrt(r0)
-    if s0 is None:
+    if not unit_is_square(u):
         return None
-    s = tower.constant(s0)
+    tower = u.tower
+    s = tower.constant(field_sqrt(u.residue()))
     half = tower.constant(tower.base.element(2).inv())
     budget = 4 + 2 * sum(
         max(1, tower.default_prec).bit_length() for _ in range(max(1, tower.height))
@@ -929,8 +921,14 @@ def hensel_sqrt(u: TowerElement) -> TowerElement | None:
 
 
 def unit_is_square(u: TowerElement) -> bool:
-    """Hensel test: a unit is a square iff its residue is a square."""
-    return hensel_sqrt(u) is not None
+    """Hensel test (Serre, Local Fields, ch. II): a unit of a tower with odd
+    residue characteristic is a square iff its residue is a square."""
+    if u.tower.residue_char == 2:
+        raise UnsupportedFieldError("Hensel square testing needs residue char != 2")
+    v = u.valuation()
+    if v is INFINITE_VALUATION or any(x != 0 for x in v):
+        raise NotAUnitError(f"valuation {v} is nonzero; not a unit")
+    return is_square(u.residue())
 
 
 # ---------------------------------------------------------------------------

@@ -149,31 +149,23 @@ def hilbert90_decompose(a, sigma, order: int, sample):
     automorphism, or conjugation inside an algebra); sample(k) draws the
     randomizer for retry k.  The resolvent c = sum_r (prod_{s<r} sigma^s(a))
     sigma^r(b) satisfies a * sigma(c) = c whenever the norm is 1 and c != 0.
+    The partial products of the norm, prefixes[r] = a sigma(a) ... sigma^r(a),
+    are formed once and serve every attempt.
     """
-    sigma_powers_of_a = [a]
+    prefixes = [a]
+    sig_a = a
     for _ in range(order - 1):
-        sigma_powers_of_a.append(sigma(sigma_powers_of_a[-1]))
-    nrm = sigma_powers_of_a[0]
-    for s in sigma_powers_of_a[1:]:
-        nrm = nrm * s
-    one = _one_like(a)
-    if not _equalish(nrm, one):
+        sig_a = sigma(sig_a)
+        prefixes.append(prefixes[-1] * sig_a)
+    nrm = prefixes[-1]
+    if not _equalish(nrm, _one_like(a)):
         raise NormCertificateError(f"norm along the cyclic layer is {nrm}, not 1")
     for attempt in range(RETRIES):
         b = sample(attempt)
-        c = None
-        prefix = None
-        sig_b = b
-        for r in range(order):
-            term = sig_b if prefix is None else prefix * sig_b
-            c = term if c is None else c + term
-            prefix = (
-                sigma_powers_of_a[r]
-                if prefix is None
-                else prefix * sigma_powers_of_a[r]
-            )
-            if r < order - 1:
-                sig_b = sigma(sig_b)
+        c = sig_b = b
+        for prefix in prefixes[:-1]:
+            sig_b = sigma(sig_b)
+            c = c + prefix * sig_b
         if c.indistinguishable_from_zero():
             continue
         if _equalish(a * sigma(c), c):
@@ -374,11 +366,12 @@ def decompose_norm_one(
         # random element of the layer generated by e
         out = alg.zero()
         power = alg.one()
-        for _ in range(order):
+        for k in range(order):
+            if k:
+                power = power * e
             c = rng.randint(0, max(alg.tower.base.char - 1, 9))
             if c:
                 out = out + power.scale(alg.tower.constant(c))
-            power = power * e
         return out
 
     c = hilbert90_decompose(e, sigma, order, sample)

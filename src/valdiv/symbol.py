@@ -136,8 +136,6 @@ class SymbolAlgebra:
 
     def monomial(self, k: int, l: int, coeff=None) -> "AlgebraElement":
         c = self.tower.one() if coeff is None else coeff
-        if not isinstance(c, TowerElement):
-            c = self.tower.constant(c)
         return self.element({(k % self.degree, l % self.degree): c})
 
     # -- splitting representation ------------------------------------------

@@ -7,7 +7,7 @@ from valdiv.cli import _text_lines, main
 from valdiv.grammar import parse_algebra, print_algebra
 from valdiv.pipeline import run_example, selftest, sk1_witness_batch
 from valdiv.profiles import profile_from_tower
-from valdiv.sk1 import compute_zeta, verdict
+from valdiv.sk1 import CommutatorWitness, compute_zeta, verdict
 from valdiv.symbol import AlgebraElement
 
 from conftest import make_quaternion_f5
@@ -228,6 +228,22 @@ def test_witness_batch_determinism():
     b = sk1_witness_batch(alg, count=5, seed=11)
     assert a == b
     assert all(w["verified"] for w in a)
+
+
+def test_witness_batch_verifies_each_witness_once(monkeypatch):
+    calls = []
+    verify = CommutatorWitness.verify
+
+    def spy(witness):
+        calls.append(witness)
+        return verify(witness)
+
+    monkeypatch.setattr(CommutatorWitness, "verify", spy)
+    batch = sk1_witness_batch(make_quaternion_f5(), count=4, seed=11)
+    # the identity needs no check; every other witness is verified once
+    witnesses = [entry["witness"] for entry in batch if entry["witness"]]
+    assert witnesses and all(entry["verified"] for entry in batch)
+    assert len(calls) == len(witnesses)
 
 
 def _assert_input_error(capsys, *argv):

@@ -374,6 +374,18 @@ def test_series_reject_operands_of_other_rings():
             a + b
 
 
+def test_tower_refuses_coefficients_of_other_fields():
+    # F5's 2 added to F7's t once printed 3*t
+    f7 = Tower(F7, ["t"])
+    with pytest.raises(DescriptorMismatchError, match="different base field"):
+        f7.monomial((1,), F5.element(2))
+    f9 = Tower(F9, ["t"])
+    for make in (lambda c: f9.monomial((1,), c), f9.constant):
+        with pytest.raises(DescriptorMismatchError, match="different base field"):
+            make(F3.element(1))
+    assert f9.monomial((1,), F9.generator()) == f9.var("t") * f9.constant(F9.generator())
+
+
 # --- the product kernel against the naive pair loop ---------------------------
 
 F343 = ExtensionField(F7, [-2, 0, 0, 1], var="w")  # w^3 - 2 has no root in F7

@@ -11,6 +11,7 @@ from valdiv.fields import (
     QQ,
     ExtensionField,
     FieldAutomorphism,
+    FieldElement,
     PrimeField,
     has_order,
     multiplicative_order,
@@ -162,6 +163,38 @@ def test_hilbert90_finite_field_brute_force():
         x for x in F25.elements() if not x.is_zero() and x * frob(x).inv() == a
     ]
     assert solutions
+    assert c * frob(c).inv() == a
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        ExtensionField(PrimeField(5), [-2, 0, 1], var="g"),
+        ExtensionField(PrimeField(7), [-2, 0, 0, 1], var="g"),
+    ],
+)
+def test_hilbert90_attempt_reuses_the_norm_prefixes(field, monkeypatch):
+    # an order-k layer: each attempt takes k - 1 products prefix * sigma^r(b)
+    p, k = field.char, field.degree
+    frob = FieldAutomorphism(field, field.generator() ** p)
+    x = field.generator() + field.one()
+    a = x * frob(x).inv()
+    products = []
+    marks = []
+    mul = FieldElement.__mul__
+
+    def counted(u, v):
+        products.append(1)
+        return mul(u, v)
+
+    def sample(attempt):
+        marks.append(len(products))
+        return field.zero() if attempt == 0 else field.one()
+
+    monkeypatch.setattr(FieldElement, "__mul__", counted)
+    c = hilbert90_decompose(a, frob, k, sample)
+    monkeypatch.undo()
+    assert marks == [k - 1, 2 * (k - 1)]  # the norm check, then attempt 0
     assert c * frob(c).inv() == a
 
 

@@ -377,6 +377,26 @@ def test_classification_quaternion_semiramified():
     assert not is_square(i_sq_res)
 
 
+def test_classify_reads_squares_from_the_residue(monkeypatch):
+    # Hensel: the unit 4 + t is a square because its residue 4 is, so the
+    # quaternion (4 + t, t) splits without lifting a root
+    alg = parse_algebra("symbol(n=2, omega=-1, a=4+t, b=t) over F5((t))")
+    calls = {"hensel_sqrt": 0, "inv": 0}
+    hensel_sqrt, inv = laurent.hensel_sqrt, laurent.LaurentSeries.inv
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(laurent, "hensel_sqrt", spy("hensel_sqrt", hensel_sqrt))
+    monkeypatch.setattr(laurent.LaurentSeries, "inv", spy("inv", inv))
+    assert alg.classify().is_division is False
+    assert calls == {"hensel_sqrt": 0, "inv": 0}
+
+
 def test_classification_trivial_algebra():
     field = PrimeField(5)
     tower = Tower(field, ["t"])
