@@ -13,6 +13,7 @@ significant lex coordinate).
 
 from __future__ import annotations
 
+import operator
 import sys
 from math import inf
 
@@ -232,39 +233,49 @@ class LaurentSeries:
         With c_i the coefficient at t^(lead+i), the inverse is
         sum_j sigma^-lead(d_j) t^(j-lead) where sum_(i+j=m) c_i sigma^i(d_j)
         is 1 at m = 0 and 0 after, so each d_m follows from the earlier ones.
-        Untwisted, sigma is the identity.
+        Untwisted, sigma is the identity.  Over a field the recurrence runs on
+        representatives, with the field's own _mul and _add and sigma^i looked
+        up once per term of c, and the inverse is boxed once; above a field it
+        runs on the coefficient series.
         """
         lead = self.leading_exponent()
-        c0_inv = self.coeffs[lead].inv()
         exact_monomial = len(self.coeffs) == 1 and self.bound is None
         if exact_monomial:
             rel = 1
         else:
             rel = self.ring.default_prec if self.bound is None else self.bound - lead
-        sigma = self.ring.sigma
+        field, sigma = self.ring.coeff_ring, self.ring.sigma
+        on_field = isinstance(field, Field)
+        if on_field:
+            mul, add, neg, is_zero = field._mul, field._add, field._neg, field._is_zero
+        else:
+            mul, add, neg = operator.mul, operator.add, operator.neg
+            is_zero = LaurentSeries.is_zero
         tail = [
-            (e - lead, c) for e, c in self.coeffs.items() if e != lead and e - lead < rel
+            (e - lead, c.rep if on_field else c, _rep_map(sigma, e - lead))
+            for e, c in self.coeffs.items()
+            if 0 < e - lead < rel
         ]
-        inv_coeffs = {0: c0_inv}
+        d0 = self.coeffs[lead].inv()
+        inv_coeffs = {0: d0.rep if on_field else d0}
+        neg_d0 = neg(inv_coeffs[0])
         for m in range(1, rel):
             acc = None
-            for off, c in tail:
-                if 0 <= m - off and (m - off) in inv_coeffs:
-                    d = inv_coeffs[m - off]
-                    term = c * (d if sigma is None else sigma.power(off)(d))
-                    acc = term if acc is None else acc + term
+            for off, c, twist in tail:
+                d = inv_coeffs.get(m - off)
+                if d is not None:
+                    term = mul(c, d if twist is None else twist(d))
+                    acc = term if acc is None else add(acc, term)
             if acc is not None:
-                val = -(c0_inv * acc)
-                if not val.is_zero():
+                val = mul(neg_d0, acc)
+                if not is_zero(val):
                     inv_coeffs[m] = val
-        if sigma is not None:
-            untwist = sigma.power(-lead)
-            inv_coeffs = {m: untwist(d) for m, d in inv_coeffs.items()}
-        return type(self)(
-            self.ring,
-            {e - lead: c for e, c in inv_coeffs.items()},
-            None if exact_monomial else -lead + rel,
-        )
+        untwist = _rep_map(sigma, -lead)
+        out = {}
+        for m, d in inv_coeffs.items():
+            d = d if untwist is None else untwist(d)
+            out[m - lead] = FieldElement(field, d) if on_field else d
+        return _clean_series(self.ring, out, None if exact_monomial else rel - lead)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -303,6 +314,15 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _rep_map(sigma, k: int):
+    """sigma^k on representatives, or None when it is the identity (sigma
+    None is the untwisted ring)."""
+    if sigma is None:
+        return None
+    sigma_k = sigma.power(k)
+    return None if sigma_k._images is None else sigma_k._map
 
 
 def _product_bound(bound, a_low, a_bound, b_low, b_bound):
@@ -898,26 +918,70 @@ def _payload_certifies_origin(payload) -> bool:
 def hensel_sqrt(u: TowerElement) -> TowerElement | None:
     """Square root of a unit by residue sqrt + Newton lifting, or None.
 
-    Lifts only a unit that unit_is_square accepts.  The returned witness
+    Lifts only a unit that unit_is_square accepts; the residue's root is
+    returned unlifted only when its square is exactly u.  Otherwise
+    _inverse_root lifts r = u^(-1/2) with no inversion and no certification,
+    to half of prec in the top variable, and cuts it to prec: u's top-level
+    window when u is truncated, the default precision otherwise.  Then
+    s = u*r takes one Newton step s <- (s + u/s)/2, which doubles its
+    precision and whose inversion sets the windows; the returned witness
     satisfies s*s = u in every certified coefficient.
     """
     if not unit_is_square(u):
         return None
     tower = u.tower
-    s = tower.constant(field_sqrt(u.residue()))
+    root = field_sqrt(u.residue())
+    s = tower.constant(root)
+    if (s * s - u).is_zero():
+        return s
+    top = u.payload
     half = tower.constant(tower.base.element(2).inv())
-    budget = 4 + 2 * sum(
-        max(1, tower.default_prec).bit_length() for _ in range(max(1, tower.height))
-    )
-    for _ in range(budget):
-        diff = s * s - u
-        if diff.indistinguishable_from_zero():
-            return s
-        s = (s + u * s.inv()) * half
+    r = _inverse_root(top, root.inv(), half.payload, (_window(top) + 1) // 2)
+    s = tower.element(top * r)
+    s = (s + u * s.inv()) * half
     diff = s * s - u
     if diff.indistinguishable_from_zero():
         return s
     raise PrecisionExhaustedError("Newton iteration failed to certify a square root")
+
+
+def _inverse_root(u, root_inv: FieldElement, half, goal):
+    """u^(-1/2) for a unit u of a tower ring, right to O(t^goal) in the top
+    variable and cut to u's window there, with no certification; root_inv is
+    the inverse root of u's residue, half is 1/2 in u's ring.
+
+    It starts from c^(-1/2) for u's constant coefficient c, lifted the same
+    way one level down to c's window, which is all of it when u = c exactly.
+    Otherwise r <- r + r(1 - u r^2)/2, which needs no inversion, runs at
+    precision k = 2, 4, ... up to goal with the operands cut to k; the
+    windows of the coefficients come from the levels below.
+    """
+    if isinstance(u, FieldElement):
+        return root_inv
+    c = u.coeffs[0]
+    r = u.ring.constant(_inverse_root(c, root_inv, half.coeffs[0], _window(c)))
+    if u.bound is None and len(u.coeffs) == 1:
+        return r
+    half_u, k = u * half, 1
+    while k < goal:
+        k = min(2 * k, goal)
+        r = _cut(r, k)
+        r = r + r * (half - _cut(half_u, k) * (r * r))
+    return _cut(r, _window(u))
+
+
+def _window(s):
+    """The precision of a series in its top variable: its bound when it is
+    truncated, the default precision when it is exact; None for a field
+    element."""
+    if isinstance(s, FieldElement):
+        return None
+    return s.ring.default_prec if s.bound is None else s.bound
+
+
+def _cut(s: LaurentSeries, k: int) -> LaurentSeries:
+    """The terms of s below t^k, taken as known to O(t^k) whatever s's bound."""
+    return _clean_series(s.ring, {e: c for e, c in s.coeffs.items() if e < k}, k)
 
 
 def unit_is_square(u: TowerElement) -> bool:

@@ -390,6 +390,70 @@ def _square_roots_table(field):
     return table
 
 
+def boxed_series_inverse(s):
+    """The inverse of a series over a field, in the form of series_plain, by
+    the coefficient recurrence on boxed field elements, sigma^i looked up
+    for every product.
+
+    With c_i the coefficient at t^(lead+i), d_m = -c_0^-1 sum_(i=1..m)
+    c_i sigma^i(d_(m-i)) for m below the relative precision (the default
+    precision for an exact series, bound - lead otherwise; 1 for an exact
+    monomial, whose inverse is exact), and the inverse is
+    sum_m sigma^-lead(d_m) t^(m-lead).
+    """
+    lead = min(e for e, c in s.coeffs.items() if not c.is_zero())
+    sigma = s.ring.sigma
+    exact_monomial = len(s.coeffs) == 1 and s.bound is None
+    if exact_monomial:
+        rel = 1
+    else:
+        rel = s.ring.default_prec if s.bound is None else s.bound - lead
+    c0_inv = s.coeffs[lead].inv()
+    d = {0: c0_inv}
+    for m in range(1, rel):
+        acc = None
+        for i in range(1, m + 1):
+            c = s.coeffs.get(lead + i)
+            if c is None or m - i not in d:
+                continue
+            right = d[m - i] if sigma is None else sigma.power(i)(d[m - i])
+            acc = c * right if acc is None else acc + c * right
+        if acc is not None and not (c0_inv * acc).is_zero():
+            d[m] = -(c0_inv * acc)
+    if sigma is not None:
+        d = {m: sigma.power(-lead)(c) for m, c in d.items()}
+    return ({m - lead: c for m, c in d.items()}, None if exact_monomial else rel - lead)
+
+
+def budget_hensel_sqrt(u):
+    """A square root of the unit u of a tower, or None when its residue is no
+    square: the lift hensel_sqrt ran before it doubled its precision.
+
+    From the least root of the residue, Newton's step s <- (s + u/s)/2,
+    each one inverting s at full precision, until s*s - u is
+    indistinguishable from zero, within a budget of 4 + 2 * height *
+    bits(default precision) steps; PrecisionExhaustedError past it.
+    """
+    roots = square_roots(u.residue())
+    if not roots:
+        return None
+    tower = u.tower
+    s = tower.constant(roots[0])
+    half = tower.constant(tower.base.element(2).inv())
+    budget = 4 + 2 * sum(
+        max(1, tower.default_prec).bit_length() for _ in range(max(1, tower.height))
+    )
+    for _ in range(budget):
+        if (s * s - u).indistinguishable_from_zero():
+            return s
+        s = (s + u * s.inv()) * half
+    if (s * s - u).indistinguishable_from_zero():
+        return s
+    from valdiv.errors import PrecisionExhaustedError
+
+    raise PrecisionExhaustedError("Newton iteration failed to certify a square root")
+
+
 # ---------------------------------------------------------------------------
 # extension fields on plain lists
 #

@@ -1,5 +1,6 @@
 import copy
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,15 @@ from valdiv.errors import (
     NotInvertibleError,
     PrecisionExhaustedError,
 )
-from valdiv.fields import QQ, ExtensionField, FieldAutomorphism, PrimeField, frobenius
+from valdiv.fields import (
+    QQ,
+    ExtensionField,
+    FieldAutomorphism,
+    FieldElement,
+    PrimeField,
+    frobenius,
+    is_square,
+)
 from valdiv.laurent import (
     INFINITE_VALUATION,
     LaurentSeries,
@@ -25,7 +34,15 @@ from valdiv.laurent import (
     unit_is_square,
 )
 
-from oracles import _naive_sum, brute_force_squares, naive_series_product, series_plain
+from oracles import (
+    _naive_sum,
+    boxed_series_inverse,
+    brute_force_squares,
+    budget_hensel_sqrt,
+    naive_series_product,
+    series_plain,
+    square_roots,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -212,6 +229,45 @@ def test_hensel_on_two_variable_towers():
     w = hensel_sqrt(u)
     assert w is not None
     assert (w * w).agrees_to_precision(u)
+
+
+def test_truncated_unit_with_vanishing_tail_keeps_its_window():
+    """A truncated unit whose certified terms past the constant all vanish
+    gets a root with the unit's windows, not an exact one; an exact
+    constant keeps its exact root."""
+    tower = Tower(F7, ["t"], default_prec=16)
+    u = tower.element(tower.rings[0].series({0: F7.element(2)}, 5))
+    assert str(hensel_sqrt(u)) == "3 + O(t^5)"
+    xy = xy_tower(F7, prec=16)
+    u = xy.element(xy.rings[1].series({0: xy.rings[0].series({0: F7.element(2)}, 3)}, 4))
+    assert str(hensel_sqrt(u)) == "(3 + O(x^3)) + O(y^4)"
+    for tow in (tower, xy):
+        assert hensel_sqrt(tow.constant(2)) == tow.constant(3)
+
+
+def _spy(monkeypatch, owner, name):
+    """The list that gets one entry per call of owner.name from now on."""
+    calls, real = [], getattr(owner, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("prec", [64, 128])
+def test_height_one_square_root_inverts_once(monkeypatch, prec):
+    tower = Tower(F7, ["t"], default_prec=prec)
+    t = tower.var("t")
+    v = tower.constant(3) + t + tower.monomial((4,), 2) + tower.monomial((9,), 5)
+    u = v * v
+    inversions = _spy(monkeypatch, LaurentSeries, "inv")
+    s = hensel_sqrt(u)
+    assert len(inversions) == 1
+    assert s.payload.bound == prec
+    assert (s * s).agrees_to_precision(u)
 
 
 # --- twisted Laurent series -------------------------------------------------
@@ -681,3 +737,117 @@ def test_product_sum_of_two_kronecker_products_apart(monkeypatch, height, trunca
             total.add(*second)
         assert kronecker == [True, True]
         assert series_plain(total.result()) == want
+
+
+# --- inversion on representatives ---------------------------------------------
+
+
+def test_inversion_over_an_extension_field_boxes_no_products(monkeypatch):
+    tower = Tower(F343, ["t"], default_prec=64)
+    w = F343.generator()
+    u = (
+        tower.constant(w)
+        + tower.var("t")
+        + tower.monomial((3,), w + F343.one())
+        + tower.monomial((7,), w * w)
+    )
+    products = _spy(monkeypatch, FieldElement, "__mul__")
+    ui = u.inv()
+    assert products == []
+    monkeypatch.undo()
+    assert ui.payload.bound == 64
+    assert (u * ui).agrees_to_precision(tower.one())
+
+
+@pytest.mark.parametrize("field", [F7, F343, QQ, None], ids=["F7", "F7[w]", "Q", "F9-twisted"])
+def test_inverse_matches_boxed_recurrence(field):
+    """Every coefficient and the bound of the inverse, against the
+    recurrence run on boxed elements; leads -3..3 so that the twisted
+    inverse is untwisted by every power of sigma."""
+    ring = twisted_ring(prec=24) if field is None else SeriesRing(field, "t", 24)
+    field = ring.coeff_ring
+    rng = random.Random(f"inverse {ring}")
+    for k in range(80):
+        lead, c = rng.randint(-3, 3), _random_coefficient(field, rng)
+        coeffs = {lead: field.one() if c.is_zero() else c}
+        for _ in range(rng.randint(0, 6)):
+            coeffs[lead + rng.randint(1, 12)] = _random_coefficient(field, rng)
+        bound = None if k % 2 else lead + rng.randint(1, 20)
+        x = ring.series(coeffs, bound)
+        assert series_plain(x.inv()) == boxed_series_inverse(x), str(x)
+
+
+# --- Hensel square roots against the reference lift ---------------------------
+
+
+def _tower_series(rng, tower, level, truncated):
+    """Up to four terms at exponents -2..8 of level `level` of the tower (0
+    innermost), their coefficients one level down truncated about half as
+    often as this one."""
+    ring = tower.rings[level]
+    lead = rng.randint(-2, 2)
+    coeffs = {}
+    for _ in range(rng.randint(1, 4)):
+        coeffs[lead + rng.randint(0, 6)] = (
+            _random_coefficient(tower.base, rng)
+            if level == 0
+            else _tower_series(rng, tower, level - 1, truncated and rng.random() < 0.5)
+        )
+    return ring.series(coeffs, lead + rng.randint(2, 9) if truncated else None)
+
+
+def _random_unit(rng, tower, truncated, square):
+    """c + z: c a nonzero constant, a square or not, and z a random element
+    moved by a monomial to a random valuation above 0, so that its terms at
+    every level may have exponents below 0."""
+    while True:
+        c = _random_coefficient(tower.base, rng)
+        if not c.is_zero() and is_square(c) == square:
+            break
+    while True:
+        z = tower.element(_tower_series(rng, tower, tower.height - 1, truncated))
+        try:
+            v = z.valuation()
+        except PrecisionExhaustedError:
+            continue
+        if v is not INFINITE_VALUATION:
+            break
+    first = rng.randrange(tower.height)
+    w = [0] * first + [rng.randint(1, 3)]
+    w += [rng.randint(-2, 2) for _ in range(tower.height - first - 1)]
+    return tower.constant(c) + z * tower.monomial(tuple(a - b for a, b in zip(w, v)))
+
+
+def _root_outcome(sqrt, u):
+    try:
+        s = sqrt(u)
+    except PrecisionExhaustedError as exc:
+        return type(exc).__name__
+    return None if s is None else series_plain(s.payload)
+
+
+@pytest.mark.parametrize("field", [F7, F9, F343], ids=["F7", "F9", "F7[w]"])
+def test_hensel_sqrt_matches_the_reference_lift(field):
+    """Every coefficient and every bound of hensel_sqrt, at every level,
+    against the lift with a full-precision inversion per step, for exact
+    and truncated units and non-squares at heights 1-3.  A truncated unit
+    whose residue root already squares to it in every certified term is
+    left out: the reference returns that root as if it were exact."""
+    rng = random.Random(f"hensel sweep {field}")
+    seen = Counter()
+    for height, prec in [(1, 8), (1, 16), (1, 32), (1, 64), (2, 8), (2, 16), (3, 8)]:
+        tower = Tower(field, ["x", "y", "z"][:height], default_prec=prec)
+        for k in range(12):
+            truncated, square = k % 2 == 1, k % 3 != 2
+            u = _random_unit(rng, tower, truncated, square)
+            if square:
+                d = tower.constant(square_roots(u.residue())[0]) ** 2 - u
+                if not d.is_zero() and d.indistinguishable_from_zero():
+                    seen["left out"] += 1
+                    continue
+            got = _root_outcome(hensel_sqrt, u)
+            assert got == _root_outcome(budget_hensel_sqrt, u), (height, prec, str(u))
+            seen[height, truncated, got is None] += 1
+    for height in (1, 2, 3):
+        for truncated in (False, True):
+            assert seen[height, truncated, False] >= 2 and seen[height, truncated, True] >= 1
