@@ -503,23 +503,6 @@ def _poly_gcd(field, a: list, b: list) -> list:
     return g
 
 
-def poly_gcd(a: list[FieldElement], b: list[FieldElement]) -> list[FieldElement]:
-    """Monic gcd of two polynomials over the same field, by Euclid's algorithm."""
-    field = (a or b)[0].field
-    g = _poly_gcd(field, [c.rep for c in a], [c.rep for c in b])
-    return [FieldElement(field, c) for c in g]
-
-
-def poly_eval(coeffs, point):
-    field = point.field
-    acc = field.zero()
-    for c in reversed(list(coeffs)):
-        if isinstance(c, (int, Fraction)):
-            c = field.element(c)
-        acc = acc * point + c
-    return acc
-
-
 def _is_irreducible_finite(ring: ExtensionField) -> bool:
     """Rabin's test (SIAM J. Comput. 9, 1980) for the modulus f of a finite base.
 

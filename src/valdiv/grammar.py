@@ -27,7 +27,7 @@ from .fields import (
     PrimeField,
     primitive_root_of_unity,
 )
-from .laurent import LaurentSeries, Tower, TowerElement
+from .laurent import Tower, TowerElement
 from .ordered import is_prime
 from .profiles import INF, FieldProfile, ResidueBase, residue_base
 from .symbol import SymbolAlgebra
@@ -344,7 +344,7 @@ def _apply_marker(payload, prefix, bound, tokens, tower):
         if isinstance(payload, FieldElement):
             tokens._fail("truncation marker deeper than the tower")
         new_bound = bound if payload.bound is None else min(payload.bound, bound)
-        return LaurentSeries(payload.ring, payload.coeffs, new_bound)
+        return payload.ring.series(payload.coeffs, new_bound)
     e = prefix[0]
     if isinstance(payload, FieldElement):
         tokens._fail("truncation marker deeper than the tower")
@@ -356,9 +356,9 @@ def _apply_marker(payload, prefix, bound, tokens, tower):
     new_inner = _apply_marker(inner, prefix[1:], bound, tokens, tower)
     coeffs = dict(payload.coeffs)
     coeffs[e] = new_inner
-    # a marker at a position beyond the outer window is a no-op: the
-    # normalization inside LaurentSeries drops it
-    return LaurentSeries(payload.ring, coeffs, payload.bound)
+    # a marker at a position beyond the outer window is a no-op: ring.series
+    # drops it
+    return payload.ring.series(coeffs, payload.bound)
 
 
 def parse_series(text: str, tower: Tower) -> TowerElement:

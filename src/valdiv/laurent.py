@@ -105,6 +105,7 @@ class SeriesRing:
             self.height = 1
             packed = coeff_ring.p if isinstance(coeff_ring, PrimeField) else None
         self.packed_prime = packed if sigma is None else None
+        self.series_class = LaurentSeries if sigma is None else TwistedSeries
 
     def __eq__(self, other):
         return (
@@ -122,7 +123,14 @@ class SeriesRing:
         return f"{self.coeff_ring}(({self.var}{twist}))"
 
     def series(self, coeffs: dict, bound: int | None = None) -> "LaurentSeries":
-        return LaurentSeries(self, coeffs, bound)
+        """The series with the terms of coeffs, less its zeros (exact-zero
+        children included) and its terms at or above bound."""
+        clean = {
+            e: c
+            for e, c in coeffs.items()
+            if (bound is None or e < bound) and not c.is_zero()
+        }
+        return self.series_class(self, clean, bound)
 
     def zero(self) -> "LaurentSeries":
         return self.series({})
@@ -149,15 +157,11 @@ class LaurentSeries:
     __slots__ = ("ring", "coeffs", "bound")
 
     def __init__(self, ring: SeriesRing, coeffs: dict, bound: int | None):
-        clean = {}
-        for e, c in coeffs.items():
-            if bound is not None and e >= bound:
-                continue
-            if c.is_zero():
-                continue
-            clean[e] = c
+        """Store coeffs as given.  The caller guarantees the invariant: no
+        zero coefficient, no exact-zero child and no exponent at or above
+        bound.  ring.series builds a series from terms that may break it."""
         self.ring = ring
-        self.coeffs = clean
+        self.coeffs = coeffs
         self.bound = bound
 
     # -- classification ----------------------------------------------------
@@ -275,7 +279,7 @@ class LaurentSeries:
         for m, d in inv_coeffs.items():
             d = d if untwist is None else untwist(d)
             out[m - lead] = FieldElement(field, d) if on_field else d
-        return _clean_series(self.ring, out, None if exact_monomial else rel - lead)
+        return self.ring.series_class(self.ring, out, None if exact_monomial else rel - lead)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -378,7 +382,7 @@ def _sum(a: LaurentSeries, b: LaurentSeries, negate: bool = False) -> LaurentSer
                 del out[e]
             else:
                 out[e] = s
-    return _clean_series(a.ring, out, bound)
+    return a.ring.series_class(a.ring, out, bound)
 
 
 def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
@@ -651,9 +655,9 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -
 
 
 def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
-    """The series of ring that acc holds, with the constructor's cleaning:
-    zeros, exact-zero children and exponents at or above the bound are
-    dropped before anything is boxed."""
+    """The series of ring that acc holds, less its zeros, its exact-zero
+    children and its exponents at or above the bound, which are dropped
+    before anything is boxed."""
     coeffs, bound = acc
     inner = ring.coeff_ring
     clean = {}
@@ -668,15 +672,7 @@ def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
                 child = _box(inner, c)
                 if child.coeffs or child.bound is not None:  # not an exact zero
                     clean[e] = child
-    return _clean_series(ring, clean, bound)
-
-
-def _clean_series(ring: SeriesRing, clean: dict, bound) -> LaurentSeries:
-    """The series of ring with the terms `clean`, which holds no zero and no
-    exponent at or above bound, so the constructor has nothing to drop."""
-    series = ring.series({}, bound)
-    series.coeffs = clean
-    return series
+    return ring.series_class(ring, clean, bound)
 
 
 class Tower:
@@ -733,10 +729,10 @@ class Tower:
         return TowerElement(self, payload)
 
     def zero(self) -> "TowerElement":
-        return self.element(self._nested_constant(self.base.zero(), zero=True))
+        return self.constant(self.base.zero())
 
     def one(self) -> "TowerElement":
-        return self.element(self._nested_constant(self.base.one()))
+        return self.constant(self.base.one())
 
     def _coefficient(self, value) -> FieldElement:
         """value as a base-field element; one from another field is refused."""
@@ -746,14 +742,8 @@ class Tower:
         return c
 
     def constant(self, value) -> "TowerElement":
-        c = self._coefficient(value)
-        return self.element(self._nested_constant(c, zero=c.is_zero()))
-
-    def _nested_constant(self, c, zero: bool = False):
-        payload = c
-        for ring in self.rings:
-            payload = ring.zero() if zero else ring.constant(payload)
-        return payload
+        """value at exponent 0; ring.series drops a zero at every level."""
+        return self.monomial((0,) * self.height, value)
 
     def var(self, name: str) -> "TowerElement":
         exps = [0] * self.height
@@ -824,10 +814,9 @@ class TowerElement:
         def go(payload):
             if isinstance(payload, FieldElement):
                 return payload * c
-            return LaurentSeries(
-                payload.ring,
-                {e: go(v) for e, v in payload.coeffs.items()},
-                payload.bound,
+            # a zero c leaves truncated zeros, which keep their bounds
+            return payload.ring.series(
+                {e: go(v) for e, v in payload.coeffs.items()}, payload.bound
             )
 
         return TowerElement(self.tower, go(self.payload))
@@ -981,7 +970,7 @@ def _window(s):
 
 def _cut(s: LaurentSeries, k: int) -> LaurentSeries:
     """The terms of s below t^k, taken as known to O(t^k) whatever s's bound."""
-    return _clean_series(s.ring, {e: c for e, c in s.coeffs.items() if e < k}, k)
+    return s.ring.series_class(s.ring, {e: c for e, c in s.coeffs.items() if e < k}, k)
 
 
 def unit_is_square(u: TowerElement) -> bool:
@@ -1015,9 +1004,6 @@ class TwistedSeriesRing(SeriesRing):
         default_prec: int = DEFAULT_PRECISION,
     ):
         super().__init__(field, var, default_prec, sigma)
-
-    def series(self, coeffs: dict, bound: int | None = None) -> "TwistedSeries":
-        return TwistedSeries(self, coeffs, bound)
 
     def constant(self, c) -> "TwistedSeries":
         return super().constant(self.coeff_ring.element(c))

@@ -11,9 +11,9 @@ import zlib
 from fractions import Fraction
 
 from .errors import DegenerateDecompositionError, UsageError, ValdivError
-from .fields import QQ, ExtensionField, PrimeField, frobenius, primitive_root_of_unity
+from .fields import ExtensionField, PrimeField, frobenius
 from .graded import nrd_grade_check, theta, tilde
-from .grammar import print_algebra
+from .grammar import parse_algebra, print_algebra
 from .laurent import Tower, TwistedSeriesRing, central_indeterminate
 from .ordered import Lattice, lex_compare, quotient
 from .profiles import FieldProfile, ResidueBase, declared_profile, profile_from_tower
@@ -33,27 +33,17 @@ SCHEMA_VERSION = 1
 
 def build_symbol_example(n: int, p: int, precision: int = 32) -> SymbolAlgebra:
     """(x, y) symbol of degree n over F_p((x))((y)), smallest primitive root."""
-    field = PrimeField(p)
-    tower = Tower(field, ["x", "y"], default_prec=precision)
-    omega = primitive_root_of_unity(field, n)
-    return SymbolAlgebra(tower, n, omega, tower.var("x"), tower.var("y"))
+    return parse_algebra(f"symbol(n={n}, omega=auto, a=x, b=y) over F{p}((x))((y))", precision)
 
 
 def build_quaternion_example(precision: int = 32) -> SymbolAlgebra:
     """(2, t) over F5((t)): non-square unit and uniformizer."""
-    field = PrimeField(5)
-    tower = Tower(field, ["t"], default_prec=precision)
-    return SymbolAlgebra(
-        tower, 2, field.element(-1), tower.constant(2), tower.var("t")
-    )
+    return parse_algebra("symbol(n=2, omega=-1, a=2, b=t) over F5((t))", precision)
 
 
 def build_rational_quaternion() -> SymbolAlgebra:
     """(-1, -1) over Q with the trivial valuation."""
-    tower = Tower(QQ, [])
-    return SymbolAlgebra(
-        tower, 2, QQ.element(-1), tower.constant(-1), tower.constant(-1)
-    )
+    return parse_algebra("symbol(n=2, omega=-1, a=-1, b=-1) over Q")
 
 
 def run_example(idx: int, precision: int = 32, seed: int = 0) -> dict:

@@ -76,6 +76,11 @@ class SymbolAlgebra:
         self._zero = tower.zero()  # shared by every zero L-vector
         self._splitting_verified = False
         self._value_group: Lattice | None = None
+        # one i and one j per algebra, so their cached prd and inv are shared
+        if degree == 1:
+            self._i, self._j = self.scalar(a), self.scalar(b)
+        else:
+            self._i, self._j = self.monomial(1, 0), self.monomial(0, 1)
 
     @property
     def dimension(self) -> int:
@@ -125,14 +130,10 @@ class SymbolAlgebra:
         return self.element({(0, 0): value})
 
     def i(self) -> "AlgebraElement":
-        if self.degree == 1:
-            return self.scalar(self.a)
-        return self.element({(1, 0): self.tower.one()})
+        return self._i
 
     def j(self) -> "AlgebraElement":
-        if self.degree == 1:
-            return self.scalar(self.b)
-        return self.element({(0, 1): self.tower.one()})
+        return self._j
 
     def monomial(self, k: int, l: int, coeff=None) -> "AlgebraElement":
         c = self.tower.one() if coeff is None else coeff

@@ -309,6 +309,30 @@ def series_plain(value):
     return ({e: series_plain(c) for e, c in value.coeffs.items()}, value.bound)
 
 
+def series_invariant_breaches(value, path=()):
+    """Where a series breaks the invariant its constructor trusts, at every
+    level: a zero field coefficient, an exponent at or above the bound, an
+    exact-zero child, or a class other than LaurentSeries (TwistedSeries
+    when the ring has an automorphism).  Empty for a clean series and for a
+    field element; path is the exponents above value."""
+    if not hasattr(value, "coeffs"):
+        return []
+    want = "LaurentSeries" if value.ring.sigma is None else "TwistedSeries"
+    breaches = [] if type(value).__name__ == want else [(path, type(value).__name__)]
+    for e, c in value.coeffs.items():
+        here = path + (e,)
+        if value.bound is not None and e >= value.bound:
+            breaches.append((here, f"at or above O({value.bound})"))
+        if not hasattr(c, "coeffs"):
+            if c.is_zero():
+                breaches.append((here, "zero coefficient"))
+        elif not c.coeffs and c.bound is None:
+            breaches.append((here, "exact-zero child"))
+        else:
+            breaches += series_invariant_breaches(c, here)
+    return breaches
+
+
 def naive_series_product(a, b):
     """a*b for two series of one ring, in the nested form of series_plain.
 

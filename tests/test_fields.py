@@ -21,8 +21,6 @@ from valdiv.fields import (
     has_order,
     is_square,
     multiplicative_order,
-    poly_eval,
-    poly_gcd,
     primitive_root_of_unity,
     sqrt,
 )
@@ -280,13 +278,6 @@ def test_conjugation_automorphism_on_gaussian_rationals():
     assert conj(conj(x)) == x
     assert conj.order == 2
     assert conj(z * x) == conj(z) * conj(x)
-
-
-def test_polynomial_gcd_and_eval():
-    x2m1 = [QQ.element(-1), QQ.zero(), QQ.one()]
-    xm1 = [QQ.element(-1), QQ.one()]
-    assert poly_gcd(x2m1, xm1) == xm1
-    assert poly_eval(x2m1, QQ.element(3)) == QQ.element(8)
 
 
 def test_matrix_det_and_charpoly():

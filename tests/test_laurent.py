@@ -40,6 +40,7 @@ from oracles import (
     brute_force_squares,
     budget_hensel_sqrt,
     naive_series_product,
+    series_invariant_breaches,
     series_plain,
     square_roots,
 )
@@ -483,6 +484,7 @@ def test_product_matches_naive_pair_loop(field, height):
         product = a * b
         assert type(product) is LaurentSeries
         assert series_plain(product) == naive_series_product(a, b)
+        assert series_invariant_breaches(product) == []
 
 
 def test_twisted_product_matches_naive_pair_loop():
@@ -493,6 +495,7 @@ def test_twisted_product_matches_naive_pair_loop():
         product = a * b
         assert type(product) is TwistedSeries
         assert series_plain(product) == naive_series_product(a, b)
+        assert series_invariant_breaches(product) == []
 
 
 @pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
@@ -509,6 +512,7 @@ def test_sum_matches_naive_sum(field, height):
         assert series_plain(total) == _naive_sum(series_plain(a), series_plain(b))
         assert series_plain(difference) == _naive_sum(series_plain(a), series_plain(-b))
         assert series_plain(a + a) == _naive_sum(series_plain(a), series_plain(a))
+        assert series_invariant_breaches(total) == series_invariant_breaches(difference) == []
     assert len(seen) == 4  # exact and truncated on either side
 
 
@@ -520,6 +524,7 @@ def test_twisted_sum_matches_naive_sum():
         total = a + b
         assert type(total) is TwistedSeries
         assert series_plain(total) == _naive_sum(series_plain(a), series_plain(b))
+        assert series_invariant_breaches(total) == series_invariant_breaches(-b) == []
 
 
 # --- the Kronecker path against the naive pair loop ---------------------------
@@ -578,6 +583,7 @@ def _checked_product(monkeypatch, a, b):
         patch.setattr(laurent, "_box", box)
         product = a * b
     assert series_plain(product) == naive_series_product(a, b)
+    assert series_invariant_breaches(product) == []
     kronecker = seen["loop"] == 0
     if kronecker:
         assert _terms_outside_windows(seen["acc"], a.ring.height - 1) == 0
@@ -737,6 +743,7 @@ def test_product_sum_of_two_kronecker_products_apart(monkeypatch, height, trunca
             total.add(*second)
         assert kronecker == [True, True]
         assert series_plain(total.result()) == want
+        assert series_invariant_breaches(total.result()) == []
 
 
 # --- inversion on representatives ---------------------------------------------
@@ -775,6 +782,7 @@ def test_inverse_matches_boxed_recurrence(field):
         bound = None if k % 2 else lead + rng.randint(1, 20)
         x = ring.series(coeffs, bound)
         assert series_plain(x.inv()) == boxed_series_inverse(x), str(x)
+        assert series_invariant_breaches(x.inv()) == []
 
 
 # --- Hensel square roots against the reference lift ---------------------------
@@ -823,7 +831,10 @@ def _root_outcome(sqrt, u):
         s = sqrt(u)
     except PrecisionExhaustedError as exc:
         return type(exc).__name__
-    return None if s is None else series_plain(s.payload)
+    if s is None:
+        return None
+    assert series_invariant_breaches(s.payload) == []
+    return series_plain(s.payload)
 
 
 @pytest.mark.parametrize("field", [F7, F9, F343], ids=["F7", "F9", "F7[w]"])
@@ -851,3 +862,44 @@ def test_hensel_sqrt_matches_the_reference_lift(field):
     for height in (1, 2, 3):
         for truncated in (False, True):
             assert seen[height, truncated, False] >= 2 and seen[height, truncated, True] >= 1
+
+
+# --- the series invariant where outside input enters ---------------------------
+
+
+def test_ring_series_drops_zeros_and_terms_at_or_above_the_bound():
+    inner, outer = xy_tower(F7).rings
+    s = inner.series({0: F7.zero(), 1: F7.one(), 5: F7.one(), 6: F7.element(3)}, 5)
+    assert series_plain(s) == ({1: F7.one()}, 5)
+    nested = outer.series(
+        {0: inner.zero(), 1: inner.series({}, 3), 2: inner.one(), 6: inner.one()}, 6
+    )
+    assert series_plain(nested) == ({1: ({}, 3), 2: ({0: F7.one()}, None)}, 6)
+    twisted = twisted_ring().series({0: F9.zero(), 2: F9.one()})
+    assert series_plain(twisted) == ({2: F9.one()}, None)
+    for value in (s, nested, twisted):
+        assert series_invariant_breaches(value) == []
+
+
+def test_scale_by_zero_keeps_truncated_zeros_with_their_bounds():
+    xy = xy_tower(F7)
+    inner, outer = xy.rings
+    u = xy.element(outer.series({0: inner.series({0: F7.one()}, 3), 1: inner.one()}, 4))
+    assert str(u) == "(1 + O(x^3)) + y + O(y^4)"
+    zero = u.scale(F7.zero()).payload
+    assert series_plain(zero) == ({0: ({}, 3)}, 4)
+    assert series_invariant_breaches(zero) == []
+
+
+@pytest.mark.parametrize("height", [0, 1, 2, 3])
+def test_zero_constants_are_exact_zeros(height):
+    tower = Tower(F7, ["x", "y", "z"][:height])
+    for zero in (tower.constant(0), tower.constant(F7.zero()), tower.zero()):
+        assert zero.is_zero()
+        assert series_plain(zero.payload) == (F7.zero() if height == 0 else ({}, None))
+    three = tower.constant(3).payload
+    assert series_invariant_breaches(three) == []
+    for _ in range(height):
+        assert set(three.coeffs) == {0} and three.bound is None
+        three = three.coeffs[0]
+    assert three == F7.element(3)

@@ -21,6 +21,8 @@ from valdiv.laurent import Tower
 from valdiv.profiles import FieldProfile, declared_profile, profile_from_tower
 from valdiv.symbol import SymbolAlgebra
 
+from oracles import series_invariant_breaches, series_plain
+
 
 def test_parse_field_descriptors():
     assert parse_field("Q") is QQ
@@ -207,3 +209,21 @@ def test_nested_series_literal_with_inner_marker():
     # marker order is not significant on input
     other = parse_series("3*x + 2*y + O(y^0*x^4) + O(y^3)", xy)
     assert other == e
+
+
+def test_truncation_markers_cut_terms():
+    t = parse_tower("F5((t))")
+    s = parse_series("1 + t + t^3 + t^5 + O(t^3)", t).payload
+    one = PrimeField(5).one()
+    assert series_plain(s) == ({0: one, 1: one}, 3)
+    # O(x^2) at y^0 cuts x^5 and leaves a truncated zero; O(y^3*x^1) lies
+    # beyond O(y^2), in either order
+    xy = parse_tower("F7((x))((y))")
+    one = PrimeField(7).one()
+    for text in (
+        "x^5 + y + O(y^0*x^2) + O(y^2) + O(y^3*x^1)",
+        "x^5 + y + O(y^3*x^1) + O(y^0*x^2) + O(y^2)",
+    ):
+        e = parse_series(text, xy).payload
+        assert series_plain(e) == ({0: ({}, 2), 1: ({0: one}, None)}, 2)
+        assert series_invariant_breaches(e) == []

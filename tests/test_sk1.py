@@ -16,6 +16,8 @@ from valdiv.fields import (
     has_order,
     multiplicative_order,
 )
+from valdiv.grammar import parse_algebra
+from valdiv.pipeline import sk1_witness_batch
 from valdiv.profiles import declared_profile, profile_from_tower
 from valdiv.sk1 import (
     CommutatorWitness,
@@ -28,6 +30,7 @@ from valdiv.sk1 import (
     skolem_noether_conjugator,
     verdict,
 )
+from valdiv.symbol import AlgebraElement
 
 from conftest import (
     make_quaternion_f5,
@@ -482,3 +485,22 @@ def test_verdict_never_trivial_on_boundary_regression():
         )
         v = verdict(declared_profile({q: 3}), synthetic, q)
         assert v.conclusion == "unknown"
+
+
+def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
+    """The algebra keeps one i and one j, so the reduced characteristic
+    polynomial of j, which the random norm-one element and its decomposition
+    both need, is computed once and then read from j's cache."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    assert alg.i() is alg.i() and alg.j() is alg.j()
+    computed, real = [], AlgebraElement.prd
+
+    def spy(self):
+        if self._prd is None:
+            computed.append(set(self.coeffs))
+        return real(self)
+
+    monkeypatch.setattr(AlgebraElement, "prd", spy)
+    sk1_witness_batch(alg, count=1, seed=0)
+    assert len(computed) == 4
+    assert computed.count({(0, 1)}) == 1
