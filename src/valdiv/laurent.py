@@ -850,6 +850,10 @@ class TowerElement:
         """True when the constant-term position lies inside the certified window."""
         return _payload_certifies_origin(self.payload)
 
+    def is_exact(self) -> bool:
+        """True when no level carries a truncation marker."""
+        return _payload_exact(self.payload)
+
     def __str__(self):
         return str(self.payload)
 
@@ -898,6 +902,12 @@ def _payload_certifies_origin(payload) -> bool:
     if 0 in payload.coeffs:
         return _payload_certifies_origin(payload.coeffs[0])
     return True
+
+
+def _payload_exact(payload) -> bool:
+    return isinstance(payload, FieldElement) or (
+        payload.bound is None and all(_payload_exact(c) for c in payload.coeffs.values())
+    )
 
 
 # ---------------------------------------------------------------------------

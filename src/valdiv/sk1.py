@@ -186,8 +186,28 @@ def _equalish(u, v) -> bool:
 
 
 def conjugation(x0: AlgebraElement):
-    """The inner automorphism z -> x0 z x0^-1 as a callable."""
-    x0_inv = x0.inv()
+    """The inner automorphism z -> x0 z x0^-1 as a callable.
+
+    For x0 = i^k j^l with coefficient 1 and an exact inverse it is a phase,
+    c i^k' j^l' -> omega^(l k' - k l') c i^k' j^l', term by term.  Otherwise
+    it is the two products: a truncated inverse truncates windows that the
+    phase would keep exact, and the products' windows are the ones kept.
+    """
+    alg = x0.algebra
+    x0_inv = x0.inv()  # x0 is a unit, so it has a term
+    ((k, l), c), *rest = x0.coeffs.items()
+    if not rest and c == alg.tower.one() and all(d.is_exact() for d in x0_inv.coeffs.values()):
+        n, omega_pow = alg.degree, alg._omega_pow
+
+        def phase(z: AlgebraElement) -> AlgebraElement:
+            x0._check(z)
+            out = {}
+            for (k2, l2), c2 in z.coeffs.items():
+                m = (l * k2 - k * l2) % n
+                out[(k2, l2)] = c2.scale(omega_pow[m]) if m else c2
+            return AlgebraElement(alg, out)
+
+        return phase
 
     def act(z: AlgebraElement) -> AlgebraElement:
         return x0 * z * x0_inv

@@ -4,12 +4,13 @@
 omega is a primitive n-th root of unity in the coefficient field.  Elements
 are kept in normal form on the basis {i^k j^l}.  The reduced trace is read
 from the normal form: Trd(i^k j^l) = 0 unless k = l = 0, so Trd(e) = n c_00.
-The reduced norm and characteristic polynomial are computed through an
-explicit degree-n splitting representation over L = F[alpha]/(alpha^n - a),
-whose defining relations are verified once per algebra.  The characteristic
-polynomial comes from Berkowitz's division-free recurrence over L, so
-truncated coefficients are never inverted; the reduced norm is read from its
-constant term.
+The reduced characteristic polynomial of an exact element comes from the
+power sums Trd(x^k), k = 1..n, by Newton's identities, when char F = 0 or
+char F > n and a, b are exact.  Otherwise it is computed through an explicit
+degree-n splitting representation over L = F[alpha]/(alpha^n - a), by
+Berkowitz's division-free recurrence, so truncated coefficients are never
+inverted.  The defining relations of that representation are verified once
+per algebra on both routes.  The reduced norm is read from the constant term.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
 the tower's value group Z^m (outermost variable = most significant).  The
@@ -75,6 +76,9 @@ class SymbolAlgebra:
         self._omega_pow = [omega**k for k in range(degree)]
         self._zero = tower.zero()  # shared by every zero L-vector
         self._splitting_verified = False
+        # prd's trace route divides by k <= n and is taken on exact inputs only
+        char = tower.base.char
+        self._trace_route = (char == 0 or char > degree) and a.is_exact() and b.is_exact()
         self._value_group: Lattice | None = None
         # one i and one j per algebra, so their cached prd and inv are shared
         if degree == 1:
@@ -301,13 +305,14 @@ def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
 class AlgebraElement:
     """Normal-form element sum c_kl i^k j^l with tower-field coefficients."""
 
-    __slots__ = ("algebra", "coeffs", "_prd", "_inv")
+    __slots__ = ("algebra", "coeffs", "_prd", "_inv", "_powers")
 
     def __init__(self, algebra: SymbolAlgebra, coeffs: dict):
         self.algebra = algebra
         self.coeffs = {kl: c for kl, c in coeffs.items() if not c.is_zero()}
         self._prd = None
         self._inv = None
+        self._powers = None
 
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
@@ -430,23 +435,58 @@ class AlgebraElement:
     def prd(self) -> list[TowerElement]:
         """Reduced characteristic polynomial (low-to-high, monic, degree n).
 
-        The characteristic polynomial of the splitting representation is
-        computed in L and must be alpha-free; a certified alpha component is a
-        construction bug.  The result is cached; callers get a copy.
+        The trace route (`_newton_charpoly`) divides by every k <= n, so it
+        needs char F = 0 or char F > n; it is taken only when x, a and b are
+        exact, because on truncated inputs the two routes can certify
+        different windows.  Otherwise the polynomial is that of the splitting
+        representation, by Berkowitz's recurrence in L; it must be
+        alpha-free, and a certified alpha component is a construction bug.
+        The splitting relations are verified once per algebra on both routes.
+        The result is cached; callers get a copy.
         """
         if self._prd is None:
             alg = self.algebra
             alg.verify_splitting_relations()
-            out = []
-            for coeff in _l_charpoly(alg, self.splitting_matrix()):
-                for comp in coeff[1:]:
-                    if not comp.indistinguishable_from_zero():
-                        raise InvariantBreachError(
-                            "characteristic polynomial acquired an alpha component"
-                        )
-                out.append(coeff[0])
-            self._prd = out
+            if alg._trace_route and all(c.is_exact() for c in self.coeffs.values()):
+                self._prd = self._newton_charpoly()
+            else:
+                self._prd = []
+                for coeff in _l_charpoly(alg, self.splitting_matrix()):
+                    for comp in coeff[1:]:
+                        if not comp.indistinguishable_from_zero():
+                            raise InvariantBreachError(
+                                "characteristic polynomial acquired an alpha component"
+                            )
+                    self._prd.append(coeff[0])
         return list(self._prd)
+
+    def _newton_charpoly(self) -> list[TowerElement]:
+        """The trace route of `prd`, keeping 1, x, ..., x^m in _powers for `inv`.
+
+        With m = ceil(n/2), p_k = Trd(x^k) = n c_00(x^k) for k <= m; for k > m
+        only the scalar part of x^m x^(k-m) is summed.  With c_n = 1, Newton's
+        identities read k c_(n-k) = -(p_1 c_(n-k+1) + ... + p_k c_n)
+        (Macdonald, Symmetric Functions and Hall Polynomials, ch. I 2).
+        """
+        alg = self.algebra
+        n, tower = alg.degree, alg.tower
+        m = (n + 1) // 2
+        powers = [alg.one(), self]
+        while len(powers) <= m:
+            powers.append(powers[-1] * self)
+        self._powers = powers
+        sums = [x.trd() for x in powers[1:]]
+        for k in range(m + 1, n + 1):
+            c00 = _scalar_of_product(powers[m], powers[k - m])
+            sums.append(c00.scale(tower.base.element(n)))
+        high = [tower.one()]  # c_n, c_(n-1), ...
+        for k in range(1, n + 1):
+            total = ProductSum(tower.top_ring())
+            for p, c in zip(sums, high[:0:-1]):  # p_i c_(n-k+i), i < k
+                total.add(p.payload, c.payload)
+            s = TowerElement(tower, total.result()) + sums[k - 1]
+            high.append(s.scale(-tower.base.element(k).inv()))
+        return high[::-1]
 
     def inv(self) -> "AlgebraElement":
         """Inverse via the reduced characteristic polynomial.
@@ -465,12 +505,13 @@ class AlgebraElement:
                 raise NotInvertibleError("reduced norm is zero; not a unit")
             raise PrecisionExhaustedError("reduced norm is undecided at precision")
         c0_inv = c0.inv()
+        powers = self._powers or [alg.one()]  # 1, x, ..., x^m from the trace route
+        self._powers = None
+        while len(powers) < alg.degree:
+            powers.append(powers[-1] * self)
         acc = alg.zero()
-        power = alg.one()
-        for k in range(1, alg.degree + 1):
-            if k > 1:
-                power = power * self
-            coeff = poly[k]  # includes the monic leading 1 at k = n
+        # poly[k] multiplies x^(k-1), with the monic leading 1 at k = n
+        for power, coeff in zip(powers, poly[1:]):
             if not coeff.is_zero():
                 acc = acc + power.scale(coeff)
         self._inv = acc.scale(-c0_inv)
@@ -525,6 +566,28 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"<{self}>"
+
+
+def _scalar_of_product(x: AlgebraElement, y: AlgebraElement) -> TowerElement:
+    """The scalar part of x*y, summed as `__mul__` sums the key (0, 0): the
+    term i^k j^l of x meets only the term i^(-k) j^(-l) of y."""
+    alg = x.algebra
+    n, tower = alg.degree, alg.tower
+    total = ProductSum(tower.top_ring())
+    for (k1, l1), c1 in x.coeffs.items():
+        k2, l2 = -k1 % n, -l1 % n
+        c2 = y.coeffs.get((k2, l2))
+        if c2 is None:
+            continue
+        m = (l1 * k2) % n
+        left = c1.scale(alg._omega_pow[m]).payload if m else c1.payload
+        right = c2.payload
+        if k1 + k2 >= n:
+            left, right = left * right, alg.a.payload
+        if l1 + l2 >= n:
+            left, right = left * right, alg.b.payload
+        total.add(left, right)
+    return TowerElement(tower, total.result())
 
 
 # ---------------------------------------------------------------------------

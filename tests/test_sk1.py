@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from valdiv import symbol
 from valdiv.errors import (
     CharPolyMismatchError,
     NormCertificateError,
@@ -24,6 +25,7 @@ from valdiv.sk1 import (
     certify_norm_one,
     commutator,
     compute_zeta,
+    conjugation,
     decompose_norm_one,
     hilbert90_decompose,
     kappa,
@@ -31,6 +33,8 @@ from valdiv.sk1 import (
     verdict,
 )
 from valdiv.symbol import AlgebraElement
+
+from oracles import series_plain
 
 from conftest import (
     make_quaternion_f5,
@@ -504,3 +508,74 @@ def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
     sk1_witness_batch(alg, count=1, seed=0)
     assert len(computed) == 4
     assert computed.count({(0, 1)}) == 1
+
+
+def _plain(e):
+    return {kl: series_plain(c.payload) for kl, c in e.coeffs.items()}
+
+
+def _phase_of(x0, z):
+    """omega^(l k' - k l') c i^k' j^l' term by term, for x0 = i^k j^l."""
+    alg = x0.algebra
+    ((k, l), _), = x0.coeffs.items()
+    return AlgebraElement(
+        alg,
+        {(k2, l2): c.scale(alg.omega ** ((l * k2 - k * l2) % alg.degree)) for (k2, l2), c in z.coeffs.items()},
+    )
+
+
+@pytest.mark.parametrize(
+    "text, phased",
+    [
+        # every monomial of (x, y) has an exact inverse
+        ("symbol(n=3, omega=2, a=x, b=y) over F7((x))((y))", ["i", "j", "i*j", "i^2*j"]),
+        ("symbol(n=4, omega=2, a=x, b=y) over F5((x))((y))", ["i", "j", "i*j", "i^2*j"]),
+        # the inverse of i is truncated once a = x + y is inverted
+        ("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", ["j"]),
+    ],
+)
+def test_conjugation_by_a_monomial_is_a_phase_where_the_inverse_is_exact(monkeypatch, text, phased):
+    """Where the phase applies it equals the two products in every coefficient
+    and every bound at every level, and forms no product; elsewhere the
+    products are kept, and the phase would have certified other windows."""
+    alg = parse_algebra(text, 8)
+    tower = alg.tower
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    rng = random.Random(88)
+    products = []
+    real = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return real(x, y)
+
+    phase_would_differ = 0
+    for x0 in (alg.i(), alg.j(), alg.monomial(1, 1), alg.monomial(2, 1)):
+        sigma = conjugation(x0)
+        x0_inv = x0.inv()
+        for _ in range(10):
+            z = random_algebra_element(alg, rng, terms=3)
+            if rng.random() < 0.5:
+                z = z.scale(dense)
+            want = x0 * z * x0_inv
+            with monkeypatch.context() as patch:
+                patch.setattr(AlgebraElement, "__mul__", counted)
+                del products[:]
+                got = sigma(z)
+            assert _plain(got) == _plain(want)
+            assert len(products) == (0 if str(x0) in phased else 2)
+            phase_would_differ += _plain(_phase_of(x0, z)) != _plain(want)
+    assert (phase_would_differ > 0) == (len(phased) < 4)
+
+
+def test_kappa_of_monomials_builds_no_splitting_matrix(monkeypatch):
+    alg = make_symbol_xy(3, 7)
+    alg.verify_splitting_relations()
+
+    def refuse(*args):
+        raise AssertionError("splitting representation used")
+
+    monkeypatch.setattr(AlgebraElement, "splitting_matrix", refuse)
+    monkeypatch.setattr(symbol, "_l_charpoly", refuse)
+    out = kappa(alg, alg.v_of_i(), alg.v_of_j())
+    assert out.element == alg.scalar(alg.tower.constant(alg.omega.inv()))
