@@ -7,10 +7,11 @@ from the normal form: Trd(i^k j^l) = 0 unless k = l = 0, so Trd(e) = n c_00.
 The reduced characteristic polynomial of an exact element comes from the
 power sums Trd(x^k), k = 1..n, by Newton's identities, when char F = 0 or
 char F > n and a, b are exact.  Otherwise it is computed through an explicit
-degree-n splitting representation over L = F[alpha]/(alpha^n - a), by
-Berkowitz's division-free recurrence, so truncated coefficients are never
-inverted.  The defining relations of that representation are verified once
-per algebra on both routes.  The reduced norm is read from the constant term.
+degree-n splitting representation over L = F[i], the commutative subalgebra
+in which i^n = a, by Berkowitz's division-free recurrence, so truncated
+coefficients are never inverted.  The defining relations of that
+representation are verified once per algebra on both routes.  The reduced
+norm is read from the constant term.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
 the tower's value group Z^m (outermost variable = most significant).  The
@@ -74,7 +75,6 @@ class SymbolAlgebra:
         self.a = a
         self.b = b
         self._omega_pow = [omega**k for k in range(degree)]
-        self._zero = tower.zero()  # shared by every zero L-vector
         self._splitting_verified = False
         # prd's trace route divides by k <= n and is taken on exact inputs only
         char = tower.base.char
@@ -336,40 +336,8 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def __mul__(self, other):
-        """Normal-form product via j^l i^k = omega^(lk) i^k j^l.
-
-        The pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds omega^m c1 c2, m = l1 k2,
-        to the key (k1 + k2, l1 + l2), times a or b where i^n or j^n wraps.
-        Each key has one ProductSum, created when a pair first meets it.  The
-        phase scales c1, once per phase while c1's row is walked.  A wrap
-        pair's product is ((c1 c2) a) b, the last factor going to the sum.
-        """
         self._check(other)
-        alg = self.algebra
-        n, tower = alg.degree, alg.tower
-        ring, a, b = tower.top_ring(), alg.a.payload, alg.b.payload
-        sums: dict = {}
-        for (k1, l1), c1 in self.coeffs.items():
-            phased = {0: c1.payload}
-            for (k2, l2), c2 in other.coeffs.items():
-                m = (l1 * k2) % n
-                left = phased.get(m)
-                if left is None:
-                    left = phased[m] = c1.scale(alg._omega_pow[m]).payload
-                right, k, l = c2.payload, k1 + k2, l1 + l2
-                if k >= n:
-                    left, right = left * right, a
-                    k -= n
-                if l >= n:
-                    left, right = left * right, b
-                    l -= n
-                total = sums.get((k, l))
-                if total is None:
-                    total = sums[(k, l)] = ProductSum(ring)
-                total.add(left, right)
-        return AlgebraElement(
-            alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
-        )
+        return _sum_of_products(self.algebra, [(self, other)])
 
     def scale(self, c) -> "AlgebraElement":
         if isinstance(c, FieldElement):
@@ -407,10 +375,10 @@ class AlgebraElement:
     # -- splitting representation and norms --------------------------------
 
     def splitting_matrix(self):
-        """Image in M_n(L), L = F[alpha]/(alpha^n - a); entries are L-vectors."""
+        """Image in M_n(L), L = F[i]; every entry is an element with keys (k, 0)."""
         alg = self.algebra
         n = alg.degree
-        mat = [[_l_zero(alg) for _ in range(n)] for _ in range(n)]
+        mat = [[{} for _ in range(n)] for _ in range(n)]
         for (k, l), c in self.coeffs.items():
             for r in range(n):
                 col = r + l  # rho(j)^l moves row r to column r + l, wrapping by b
@@ -418,9 +386,8 @@ class AlgebraElement:
                 if col >= n:
                     val = val * alg.b
                     col -= n
-                entry = mat[r][col]
-                entry[k] = entry[k] + val
-        return mat
+                mat[r][col][(k, 0)] = val  # (k, l) is the one key that lands here
+        return [[AlgebraElement(alg, entry) for entry in row] for row in mat]
 
     def nrd(self) -> TowerElement:
         """Reduced norm: (-1)^n times the constant term of `prd`."""
@@ -439,8 +406,8 @@ class AlgebraElement:
         needs char F = 0 or char F > n; it is taken only when x, a and b are
         exact, because on truncated inputs the two routes can certify
         different windows.  Otherwise the polynomial is that of the splitting
-        representation, by Berkowitz's recurrence in L; it must be
-        alpha-free, and a certified alpha component is a construction bug.
+        representation, by Berkowitz's recurrence in L = F[i]; it must lie in
+        F, and a certified component off (0, 0) is a construction bug.
         The splitting relations are verified once per algebra on both routes.
         The result is cached; callers get a copy.
         """
@@ -452,12 +419,12 @@ class AlgebraElement:
             else:
                 self._prd = []
                 for coeff in _l_charpoly(alg, self.splitting_matrix()):
-                    for comp in coeff[1:]:
-                        if not comp.indistinguishable_from_zero():
+                    for kl, comp in coeff.coeffs.items():
+                        if kl != (0, 0) and not comp.indistinguishable_from_zero():
                             raise InvariantBreachError(
-                                "characteristic polynomial acquired an alpha component"
+                                "characteristic polynomial acquired a component in i"
                             )
-                    self._prd.append(coeff[0])
+                    self._prd.append(coeff.scalar_part())
         return list(self._prd)
 
     def _newton_charpoly(self) -> list[TowerElement]:
@@ -509,12 +476,9 @@ class AlgebraElement:
         self._powers = None
         while len(powers) < alg.degree:
             powers.append(powers[-1] * self)
-        acc = alg.zero()
         # poly[k] multiplies x^(k-1), with the monic leading 1 at k = n
-        for power, coeff in zip(powers, poly[1:]):
-            if not coeff.is_zero():
-                acc = acc + power.scale(coeff)
-        self._inv = acc.scale(-c0_inv)
+        pairs = ((power, alg.scalar(c)) for power, c in zip(powers, poly[1:]))
+        self._inv = _sum_of_products(alg, pairs).scale(-c0_inv)
         return self._inv
 
     def valuation(self):
@@ -568,82 +532,68 @@ class AlgebraElement:
         return f"<{self}>"
 
 
+def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
+    """The sum of the normal-form products x*y over the pairs (x, y), via
+    j^l i^k = omega^(lk) i^k j^l.
+
+    The pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds omega^m c1 c2, m = l1 k2,
+    to the key (k1 + k2, l1 + l2), times a or b where i^n or j^n wraps.
+    Each key has one ProductSum, created when a pair first meets it.  The
+    phase scales c1, once per phase while c1's row is walked.  A wrap
+    pair's product is ((c1 c2) a) b, the last factor going to the sum.
+    """
+    n, tower = alg.degree, alg.tower
+    ring, a, b = tower.top_ring(), alg.a.payload, alg.b.payload
+    sums: dict = {}
+    for x, y in pairs:
+        for (k1, l1), c1 in x.coeffs.items():
+            phased = {0: c1.payload}
+            for (k2, l2), c2 in y.coeffs.items():
+                m = (l1 * k2) % n
+                left = phased.get(m)
+                if left is None:
+                    left = phased[m] = c1.scale(alg._omega_pow[m]).payload
+                right, k, l = c2.payload, k1 + k2, l1 + l2
+                if k >= n:
+                    left, right = left * right, a
+                    k -= n
+                if l >= n:
+                    left, right = left * right, b
+                    l -= n
+                total = sums.get((k, l))
+                if total is None:
+                    total = sums[(k, l)] = ProductSum(ring)
+                total.add(left, right)
+    return AlgebraElement(
+        alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
+    )
+
+
 def _scalar_of_product(x: AlgebraElement, y: AlgebraElement) -> TowerElement:
     """The scalar part of x*y, summed as `__mul__` sums the key (0, 0): the
     term i^k j^l of x meets only the term i^(-k) j^(-l) of y."""
     alg = x.algebra
-    n, tower = alg.degree, alg.tower
-    total = ProductSum(tower.top_ring())
-    for (k1, l1), c1 in x.coeffs.items():
-        k2, l2 = -k1 % n, -l1 % n
-        c2 = y.coeffs.get((k2, l2))
-        if c2 is None:
-            continue
-        m = (l1 * k2) % n
-        left = c1.scale(alg._omega_pow[m]).payload if m else c1.payload
-        right = c2.payload
-        if k1 + k2 >= n:
-            left, right = left * right, alg.a.payload
-        if l1 + l2 >= n:
-            left, right = left * right, alg.b.payload
-        total.add(left, right)
-    return TowerElement(tower, total.result())
+    n = alg.degree
+    pairs = []
+    for (k, l), c in x.coeffs.items():
+        partner = (-k % n, -l % n)
+        if partner in y.coeffs:
+            term = AlgebraElement(alg, {partner: y.coeffs[partner]})
+            pairs.append((AlgebraElement(alg, {(k, l): c}), term))
+    return _sum_of_products(alg, pairs).scalar_part()
 
 
 # ---------------------------------------------------------------------------
-# arithmetic in L = F[alpha]/(alpha^n - a): vectors of n tower elements
-
-
-def _l_zero(alg) -> list[TowerElement]:
-    return [alg._zero] * alg.degree
-
-
-def _l_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def _l_neg(u):
-    return [-x for x in u]
-
-
-def _l_dot(alg, us, vs):
-    """Sum of the products u * v over L; alpha^n wraps to a, as (x y) a.
-
-    Each L-index gets one ProductSum when a product first lands there; an
-    index that none reaches is the shared exact zero.
-    """
-    n, tower = alg.degree, alg.tower
-    ring, sums = tower.top_ring(), [None] * n
-    for u, v in zip(us, vs):
-        for iu, x in enumerate(u):
-            if x.is_zero():
-                continue
-            for iv, y in enumerate(v):
-                if y.is_zero():
-                    continue
-                left, right, d = x.payload, y.payload, iu + iv
-                if d >= n:
-                    left, right = left * right, alg.a.payload
-                    d -= n
-                total = sums[d]
-                if total is None:
-                    total = sums[d] = ProductSum(ring)
-                total.add(left, right)
-    return [alg._zero if s is None else TowerElement(tower, s.result()) for s in sums]
+# matrices over L = F[i]: entries are algebra elements with keys (k, 0)
 
 
 def _l_matrix_mul(alg, A, B):
     columns = list(zip(*B))
-    return [[_l_dot(alg, row, col) for col in columns] for row in A]
+    return [[_sum_of_products(alg, zip(row, col)) for col in columns] for row in A]
 
 
 def _l_matrix_agrees(A, B) -> bool:
-    return all(
-        (x - y).indistinguishable_from_zero()
-        for ra, rb in zip(A, B)
-        for u, v in zip(ra, rb)
-        for x, y in zip(u, v)
-    )
+    return all(x.agrees_to_precision(y) for ra, rb in zip(A, B) for x, y in zip(ra, rb))
 
 
 def _l_charpoly(alg, mat):
@@ -655,22 +605,22 @@ def _l_charpoly(alg, mat):
     column k cut to M (S. J. Berkowitz, Inf. Process. Lett. 18, 1984).  Only
     ring operations are used.
     """
-    poly = [[alg.tower.one()] + _l_zero(alg)[1:]]
+    poly = [alg.one()]
     for k in range(len(mat)):
         block = [row[:k] for row in mat[:k]]
         row = mat[k][:k]
         vec = [mat[r][k] for r in range(k)]
-        column = [None, _l_neg(mat[k][k])]
+        column = [None, -mat[k][k]]
         for step in range(k):
             if step:
-                vec = [_l_dot(alg, b, vec) for b in block]
-            column.append(_l_neg(_l_dot(alg, row, vec)))
+                vec = [_sum_of_products(alg, zip(b, vec)) for b in block]
+            column.append(-_sum_of_products(alg, zip(row, vec)))
         # the leading 1s of column and poly contribute without a product
         new = [poly[0]]
         for i in range(1, k + 2):
-            acc = column[i] if i > k else _l_add(column[i], poly[i])
+            acc = column[i] if i > k else column[i] + poly[i]
             if i > 1:
-                acc = _l_add(acc, _l_dot(alg, column[i - 1 : 0 : -1], poly[1:i]))
+                acc = acc + _sum_of_products(alg, zip(column[i - 1 : 0 : -1], poly[1:i]))
             new.append(acc)
         poly = new
     return poly[::-1]

@@ -596,35 +596,33 @@ def pairwise_algebra_product(x, y):
 
 
 def pairwise_l_dot(alg, us, vs):
-    """Sum of the products u * v over L = F[alpha]/(alpha^n - a), every pair
-    product boxed and added into one vector; alpha^n wraps to a."""
+    """Sum of the products u * v over L = F[i], whose elements have keys
+    (k, 0) only, every pair product boxed and added one by one; i^n wraps to a."""
     n = alg.degree
-    out = [alg._zero] * n
+    out: dict = {}
     for u, v in zip(us, vs):
-        for iu, x in enumerate(u):
-            if x.is_zero():
-                continue
-            for iv, y in enumerate(v):
-                if y.is_zero():
-                    continue
+        for (k1, l1), x in u.coeffs.items():
+            for (k2, l2), y in v.coeffs.items():
+                assert l1 == l2 == 0, "an element of L with a power of j"
                 prod = x * y
-                d = iu + iv
-                if d >= n:
+                k = k1 + k2
+                if k >= n:
                     prod = prod * alg.a
-                    d -= n
-                out[d] = out[d] + prod
-    return out
+                    k -= n
+                out[(k, 0)] = out[(k, 0)] + prod if (k, 0) in out else prod
+    return type(us[0])(alg, out)
 
 
 def splitting_trace(e):
     """Trd(e) as the trace of the splitting representation: the sum of the
-    diagonal L-entries of rho(e), whose alpha components must vanish."""
+    diagonal entries of rho(e), elements of L = F[i] whose components off
+    the key (0, 0) must vanish."""
     alg = e.algebra
     alg.verify_splitting_relations()
-    total = [alg.tower.zero()] * alg.degree
+    total = alg.zero()
     for r, row in enumerate(e.splitting_matrix()):
-        total = [x + y for x, y in zip(total, row[r])]
-    for comp in total[1:]:
-        if not comp.indistinguishable_from_zero():
-            raise AssertionError("reduced trace acquired an alpha component")
-    return total[0]
+        total = total + row[r]
+    for kl, comp in total.coeffs.items():
+        if kl != (0, 0) and not comp.indistinguishable_from_zero():
+            raise AssertionError("reduced trace acquired a component in i")
+    return total.scalar_part()

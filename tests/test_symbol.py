@@ -70,30 +70,40 @@ def test_splitting_representation_relations_and_example():
     alg = make_quaternion_f5()
     alg.verify_splitting_relations()
     rho_i = alg.i().splitting_matrix()
-    # rho(i) = diag(alpha, -alpha)
-    assert rho_i[0][0][1] == alg.tower.one()
-    assert rho_i[1][1][1] == -alg.tower.one()
-    assert rho_i[0][1] == [alg.tower.zero()] * 2
+    # rho(i) = diag(i, -i), entries in L = F[i]
+    assert rho_i[0][0] == alg.i()
+    assert rho_i[1][1] == -alg.i()
+    assert rho_i[0][1] == alg.zero()
     rho_j = alg.j().splitting_matrix()
     # rho(j) = [[0, 1], [t, 0]]
-    assert rho_j[0][1][0] == alg.tower.one()
-    assert rho_j[1][0][0] == alg.b
+    assert rho_j[0][1] == alg.one()
+    assert rho_j[1][0] == alg.scalar(alg.b)
     one_mat = alg.one().splitting_matrix()
-    assert one_mat[0][0][0] == alg.tower.one()
-    assert one_mat[0][1][0].is_zero()
+    assert one_mat[0][0] == alg.one()
+    assert one_mat[0][1].is_zero()
 
 
 def test_splitting_is_homomorphism_on_samples():
+    """rho(e1 e2) = rho(e1) rho(e2), with every entry in F[i], on exact
+    elements of (x, y) over F7, on elements truncated by (1 + x + y)^-1, and
+    over F9 = F3[w]/(w^2 + 1), where char F <= n: the inputs Berkowitz serves."""
     rng = random.Random(21)
-    alg = make_symbol_xy(3, 7)
     from valdiv.symbol import _l_matrix_agrees, _l_matrix_mul
 
-    for _ in range(10):
-        e1 = random_algebra_element(alg, rng)
-        e2 = random_algebra_element(alg, rng)
-        lhs = (e1 * e2).splitting_matrix()
-        rhs = _l_matrix_mul(alg, e1.splitting_matrix(), e2.splitting_matrix())
-        assert _l_matrix_agrees(lhs, rhs)
+    truncated = parse_algebra("symbol(n=4, omega=auto, a=x+y, b=y) over F5((x))((y))", 8)
+    tower = truncated.tower
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    over_f9 = parse_algebra("symbol(n=4, omega=auto, a=x, b=y) over F3[w]/(w^2+1)((x))((y))", 8)
+    cases = [(make_symbol_xy(3, 7), None, 10), (truncated, dense, 6), (over_f9, None, 6)]
+    for alg, scale, count in cases:
+        for _ in range(count):
+            e1 = random_algebra_element(alg, rng)
+            e2 = random_algebra_element(alg, rng)
+            if scale is not None:
+                e1, e2 = e1.scale(scale), e2.scale(scale)
+            rho = [(e1 * e2).splitting_matrix(), e1.splitting_matrix(), e2.splitting_matrix()]
+            assert all(l == 0 for mat in rho for row in mat for x in row for _, l in x.coeffs)
+            assert _l_matrix_agrees(rho[0], _l_matrix_mul(alg, rho[1], rho[2]))
 
 
 def test_quaternion_norm_closed_form():
@@ -603,31 +613,31 @@ def test_sums_of_products_match_the_pairwise_sums(monkeypatch, base, height, n):
                 patch.setattr(laurent, "_kronecker_mul_into", kronecker)
                 patch.setattr(laurent, "_mul_into", loop)
                 product = x * y
-            assert _algebra_plain(product) == _algebra_plain(pairwise_algebra_product(x, y))
+            want = pairwise_algebra_product(x, y)
+            assert _algebra_plain(product) == _algebra_plain(want)
+            scalar = symbol._scalar_of_product(x, y)
+            assert series_plain(scalar.payload) == series_plain(want.scalar_part().payload)
     for x, y in zip(operands, operands[::-1]):
         rows, cols = x.splitting_matrix(), list(zip(*y.splitting_matrix()))
         for row in rows:
             for col in cols:
-                got, want = symbol._l_dot(alg, row, col), pairwise_l_dot(alg, row, col)
-                assert [series_plain(u.payload) for u in got] == [
-                    series_plain(u.payload) for u in want
-                ]
+                got = symbol._sum_of_products(alg, zip(row, col))
+                assert _algebra_plain(got) == _algebra_plain(pairwise_l_dot(alg, row, col))
     # products added to a sum that already held one, on either side of the
     # Kronecker gate
     assert paths["loop"] > 0
     assert paths["kronecker"] > 0 or base != "F61"
 
 
-def test_l_dot_leaves_entries_no_product_reaches_the_shared_zero():
+def test_sum_of_products_leaves_out_keys_no_product_reaches():
     alg = make_symbol_xy(3, 7)
     x, y = alg.tower.var("x"), alg.tower.var("y")
-    zero = alg.tower.zero()
-    us = [[x, zero, zero], [zero, y, zero]]
-    vs = [[zero, y, zero], [x, zero, zero]]
-    got = symbol._l_dot(alg, us, vs)
-    assert got[0] is alg._zero
-    assert got[1] == x * y + y * x
-    assert got[2] is alg._zero
+    us = [alg.scalar(x), alg.monomial(1, 0, y)]
+    vs = [alg.monomial(1, 0, y), alg.scalar(x)]
+    got = symbol._sum_of_products(alg, zip(us, vs))
+    assert (0, 0) not in got.coeffs
+    assert got.coeffs[(1, 0)] == x * y + y * x
+    assert (2, 0) not in got.coeffs
 
 
 # --- the reduced trace from the normal form --------------------------------------
@@ -770,7 +780,7 @@ _ROUTE_CASES = [
 
 
 def _berkowitz_prd(e):
-    return [c[0] for c in symbol._l_charpoly(e.algebra, e.splitting_matrix())]
+    return [c.scalar_part() for c in symbol._l_charpoly(e.algebra, e.splitting_matrix())]
 
 
 def _inverse_from(e, poly):
