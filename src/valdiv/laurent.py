@@ -13,7 +13,6 @@ significant lex coordinate).
 
 from __future__ import annotations
 
-import operator
 import sys
 from math import inf
 
@@ -152,9 +151,15 @@ class LaurentSeries:
 
     coeffs maps exponent -> nonzero coefficient; bound None means exact,
     otherwise coefficients at exponents >= bound are unknown.
+
+    A series is never mutated after construction, nor is its coeffs dict:
+    every operation builds a new series.  So the product kernels cache what
+    they derive from a series on it, at first use: its terms in exponent
+    order (_sorted_terms), its Kronecker survey (_survey) and its last
+    packing (_packed).
     """
 
-    __slots__ = ("ring", "coeffs", "bound")
+    __slots__ = ("ring", "coeffs", "bound", "_terms", "_shape", "_packing")
 
     def __init__(self, ring: SeriesRing, coeffs: dict, bound: int | None):
         """Store coeffs as given.  The caller guarantees the invariant: no
@@ -163,6 +168,7 @@ class LaurentSeries:
         self.ring = ring
         self.coeffs = coeffs
         self.bound = bound
+        self._terms = self._shape = self._packing = None
 
     # -- classification ----------------------------------------------------
 
@@ -239,8 +245,9 @@ class LaurentSeries:
         is 1 at m = 0 and 0 after, so each d_m follows from the earlier ones.
         Untwisted, sigma is the identity.  Over a field the recurrence runs on
         representatives, with the field's own _mul and _add and sigma^i looked
-        up once per term of c, and the inverse is boxed once; above a field it
-        runs on the coefficient series.
+        up once per term of c, and the inverse is boxed once; above a field
+        each sum is one ProductSum of the coefficient series, multiplied once
+        by -d_0.
         """
         lead = self.leading_exponent()
         exact_monomial = len(self.coeffs) == 1 and self.bound is None
@@ -250,29 +257,39 @@ class LaurentSeries:
             rel = self.ring.default_prec if self.bound is None else self.bound - lead
         field, sigma = self.ring.coeff_ring, self.ring.sigma
         on_field = isinstance(field, Field)
-        if on_field:
-            mul, add, neg, is_zero = field._mul, field._add, field._neg, field._is_zero
-        else:
-            mul, add, neg = operator.mul, operator.add, operator.neg
-            is_zero = LaurentSeries.is_zero
         tail = [
             (e - lead, c.rep if on_field else c, _rep_map(sigma, e - lead))
             for e, c in self.coeffs.items()
             if 0 < e - lead < rel
         ]
         d0 = self.coeffs[lead].inv()
-        inv_coeffs = {0: d0.rep if on_field else d0}
-        neg_d0 = neg(inv_coeffs[0])
+        if on_field:
+            mul, add, is_zero = field._mul, field._add, field._is_zero
+            inv_coeffs = {0: d0.rep}
+            neg_d0 = field._neg(d0.rep)
+        else:
+            inv_coeffs = {0: d0}
+            neg_d0 = -d0
         for m in range(1, rel):
-            acc = None
-            for off, c, twist in tail:
-                d = inv_coeffs.get(m - off)
-                if d is not None:
-                    term = mul(c, d if twist is None else twist(d))
-                    acc = term if acc is None else add(acc, term)
-            if acc is not None:
-                val = mul(neg_d0, acc)
-                if not is_zero(val):
+            if on_field:
+                acc = None
+                for off, c, twist in tail:
+                    d = inv_coeffs.get(m - off)
+                    if d is not None:
+                        term = mul(c, d if twist is None else twist(d))
+                        acc = term if acc is None else add(acc, term)
+                if acc is not None:
+                    val = mul(neg_d0, acc)
+                    if not is_zero(val):
+                        inv_coeffs[m] = val
+            else:
+                total = ProductSum(field)
+                for off, c, _ in tail:
+                    d = inv_coeffs.get(m - off)
+                    if d is not None:
+                        total.add(c, d)
+                val = neg_d0 * total.result()
+                if not val.is_zero():
                     inv_coeffs[m] = val
         untwist = _rep_map(sigma, -lead)
         out = {}
@@ -445,7 +462,7 @@ def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
     out, bound = acc
     rows, cols, limit, low = a.coeffs.items(), b.coeffs.items(), inf, 0
     if bound is not None or a.bound is not None or b.bound is not None:
-        rows, cols = sorted(rows), sorted(cols)
+        rows, cols = _sorted_terms(a), _sorted_terms(b)
         low = cols[0][0] if cols else b.bound
         a_low = rows[0][0] if rows else a.bound
         acc[1] = limit = _product_bound(bound, a_low, a.bound, low, b.bound)
@@ -481,6 +498,14 @@ def _mul_into(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
             out[e] = add(out[e], r) if e in out else r
 
 
+def _sorted_terms(s: LaurentSeries) -> list:
+    """The (exponent, coefficient) terms of s in exponent order, sorted once."""
+    terms = s._terms
+    if terms is None:
+        terms = s._terms = sorted(s.coeffs.items())
+    return terms
+
+
 # ---------------------------------------------------------------------------
 # Kronecker products (von zur Gathen & Gerhard, Modern Computer Algebra, 8.4;
 # D. Harvey, J. Symbolic Comput. 44 (2009))
@@ -513,7 +538,18 @@ def _read_slots(data: memoryview, start: int, stop: int, width: int) -> list:
     ]
 
 
-def _survey(s: LaurentSeries, level: int, lows: list, highs: list):
+def _survey(s: LaurentSeries) -> tuple:
+    """Survey s for the Kronecker path and cache it on s: returns s._shape,
+    (summary, field term count, lows, highs), where lows[k] and highs[k] are
+    the least and greatest exponents of s at level k (0 innermost)."""
+    height = s.ring.height
+    lows, highs = [inf] * height, [-inf] * height
+    summary, terms = _summarize(s, height - 1, lows, highs)
+    s._shape = shape = (summary, terms, lows, highs)
+    return shape
+
+
+def _summarize(s: LaurentSeries, level: int, lows: list, highs: list):
     """Summarize s for the windows: returns (summary, field term count).
 
     The summary is (low, bound, children): low is the least exponent of s,
@@ -534,8 +570,8 @@ def _survey(s: LaurentSeries, level: int, lows: list, highs: list):
     if not level:
         return (low, s.bound, None), len(coeffs)
     kids, terms = [], 0
-    for e, c in sorted(coeffs.items()):
-        kid, n = _survey(c, level - 1, lows, highs)
+    for e, c in _sorted_terms(s):
+        kid, n = _summarize(c, level - 1, lows, highs)
         kids.append((e, kid))
         terms += n
     return (low, s.bound, kids), terms
@@ -574,9 +610,14 @@ def _pack(s: LaurentSeries, level: int, base: int, lows: list, strides: list, sl
         _pack(c, level - 1, base + (e - low) * stride, lows, strides, slots)
 
 
-def _packed(s: LaurentSeries, lows: list, highs: list, strides: list, width: int) -> int:
-    """s as one integer of little-endian slots of `width` bytes, its
-    representatives in the slots _pack gives them."""
+def _packed(s: LaurentSeries, strides: list, width: int) -> int:
+    """s, once surveyed, as one integer of little-endian slots of `width`
+    bytes, its representatives in the slots _pack gives them.  The last
+    packing is cached on s with its strides and width."""
+    last = s._packing
+    if last is not None and last[0] == width and last[1] == strides:
+        return last[2]
+    _, _, lows, highs = s._shape
     count = 1 + sum((h - l) * k for l, h, k in zip(lows, highs, strides))
     code = _NATIVE_SLOTS.get(width)
     data = bytearray(count * width)
@@ -584,7 +625,9 @@ def _packed(s: LaurentSeries, lows: list, highs: list, strides: list, width: int
     _pack(s, len(lows) - 1, 0, lows, strides, slots)
     if code is None:
         data = b"".join(v.to_bytes(width, "little") for v in slots)
-    return int.from_bytes(data, "little")
+    packed = int.from_bytes(data, "little")
+    s._packing = (width, strides, packed)
+    return packed
 
 
 def _unpack_into(acc, level, base, lows, highs, strides, data, width, p) -> None:
@@ -626,13 +669,11 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -
     below level k.  Each slot holds (p-1)^2 times the smaller term count, so
     one integer product sums every pair of terms into the slot of its
     exponents, with no carry between slots.  The windows come first, by the
-    rule _mul_into uses (_product_bound), from one survey per operand.
+    rule _mul_into uses (_product_bound), from the survey of each operand,
+    which like its packing is made once per series.
     """
-    height = a.ring.height
-    a_lows, a_highs = [inf] * height, [-inf] * height
-    b_lows, b_highs = [inf] * height, [-inf] * height
-    sa, na = _survey(a, height - 1, a_lows, a_highs)
-    sb, nb = _survey(b, height - 1, b_lows, b_highs)
+    sa, na, a_lows, a_highs = a._shape or _survey(a)
+    sb, nb, b_lows, b_highs = b._shape or _survey(b)
     if na and nb:
         lows = [x + y for x, y in zip(a_lows, b_lows)]
         highs = [x + y for x, y in zip(a_highs, b_highs)]
@@ -647,10 +688,9 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -
         _window_into(acc[0], acc[1], sa[2], sb[2])
     if na and nb:
         width = _slot_width(p, min(na, nb))
-        packed_a = _packed(a, a_lows, a_highs, strides, width)
-        packed_b = packed_a if b is a else _packed(b, b_lows, b_highs, strides, width)
-        data = memoryview((packed_a * packed_b).to_bytes(size * width, "little"))
-        _unpack_into(acc, height - 1, 0, lows, highs, strides, data, width, p)
+        product = _packed(a, strides, width) * _packed(b, strides, width)
+        data = memoryview(product.to_bytes(size * width, "little"))
+        _unpack_into(acc, len(lows) - 1, 0, lows, highs, strides, data, width, p)
     return True
 
 

@@ -51,7 +51,7 @@ from valdiv.grammar import (
     print_algebra,
     print_series,
 )
-from valdiv.laurent import Tower, TowerElement, TwistedSeriesRing, hensel_sqrt
+from valdiv.laurent import ProductSum, Tower, TowerElement, TwistedSeriesRing, hensel_sqrt
 from valdiv.symbol import AlgebraElement, SymbolAlgebra
 
 from oracles import is_irreducible_mod_p
@@ -355,3 +355,42 @@ def _refused_as_reducible_above_degree_four(got):
     coeffs = parse_series(poly, Tower(PrimeField(p), [var])).payload.coeffs
     ints = [coeffs[k].rep if k in coeffs else 0 for k in range(max(coeffs) + 1)]
     return len(ints) > 5 and not is_irreducible_mod_p(ints, p)
+
+
+def test_operations_leave_their_operands_unchanged():
+    """No operation writes to an operand: the product kernels cache what they
+    derive from a series on the series, which holds only while series are
+    never mutated.  Every coefficient and bound of the operands, at every
+    level, is the same after each operation ran twice, and the second run,
+    on operands whose caches the first one filled, gives the same results."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    tower = alg.tower
+    unit = tower.constant(2) + tower.var("x") + tower.var("y")
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    shifted = dense * tower.monomial((1, -1), 3)
+    element = alg.element({(0, 0): unit, (1, 0): dense, (1, 2): shifted})
+
+    def product_sum(a, b):
+        total = ProductSum(tower.top_ring())
+        total.add(a.payload, b.payload)
+        total.add(b.payload, a.payload)
+        return total.result()
+
+    ops = [element.inv, element.nrd]
+    for a in (unit, dense, shifted):
+        ops += [a.inv, lambda a=a: a.scale(F7.element(3))]
+        if a is not shifted:  # shifted is no unit
+            ops.append(lambda a=a: hensel_sqrt(a))
+        for b in (unit, dense, shifted):
+            ops += [
+                lambda a=a, b=b: a * b,
+                lambda a=a, b=b: a + b,
+                lambda a=a, b=b: a - b,
+                lambda a=a, b=b: product_sum(a, b),
+            ]
+    operands = [unit, dense, shifted, element]
+    before = canon(operands)
+    first = [canon(op()) for op in ops]
+    assert canon(operands) == before
+    assert [canon(op()) for op in ops] == first
+    assert canon(operands) == before

@@ -22,6 +22,7 @@ from valdiv.fields import (
     frobenius,
     is_square,
 )
+from valdiv.grammar import parse_algebra
 from valdiv.laurent import (
     INFINITE_VALUATION,
     LaurentSeries,
@@ -744,6 +745,79 @@ def test_product_sum_of_two_kronecker_products_apart(monkeypatch, height, trunca
         assert kronecker == [True, True]
         assert series_plain(total.result()) == want
         assert series_invariant_breaches(total.result()) == []
+
+
+# --- what each series caches for the product kernels ---------------------------
+
+
+@pytest.mark.parametrize("p", [5, 257])
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+def test_cached_packing_follows_each_partner(monkeypatch, p, height, truncate):
+    """One operand times three partners in a row, each with other extents
+    and term counts, in both orders: every product matches the naive pair
+    loop at every coefficient and every bound.  Between products the
+    operand's packing changes its strides (heights 2-3) or its slot width
+    (F5); at height 1 over F257 neither can change, so it is reused."""
+    rng = random.Random(f"stale/{p}/{height}/{truncate}")
+    ring = Tower(PrimeField(p), ["x", "y", "z"][:height]).top_ring()
+    a = _grid(ring, rng, [16] + [3] * (height - 1), low=-2, truncate=truncate)
+    keys = []
+    for counts, low, spread in [
+        ([6] + [3] * (height - 1), 0, 1),
+        ([24] + [4] * (height - 1), -5, 1),
+        ([8] + [1] * (height - 1), 3, 2),
+    ]:
+        b = _grid(ring, rng, counts, low=low, spread=spread, truncate=truncate)
+        assert _checked_product(monkeypatch, a, b)
+        width, strides, _ = a._packing
+        keys.append((width, tuple(strides)))
+        assert _checked_product(monkeypatch, b, a)
+    if (height, p) == (1, 257):
+        assert keys == [(4, (1,))] * 3
+    else:
+        assert keys[0] != keys[1] != keys[2]
+    if p == 5:
+        assert {width for width, _ in keys} == {1, 2}
+
+
+def test_algebra_product_surveys_and_sorts_each_series_once(monkeypatch):
+    """x*y for dense truncated coefficients in an n = 3 algebra over
+    F7((x))((y)): each right-hand tower coefficient meets the nine left ones
+    on the Kronecker path, and no series is surveyed or sorted twice."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    tower = alg.tower
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    rng = random.Random("survey once")
+
+    def element():
+        shifts = [(rng.randint(-1, 1), rng.randint(-1, 1)) for _ in range(9)]
+        return alg.element({
+            (k // 3, k % 3): dense * tower.monomial(shift, rng.randrange(1, 7))
+            for k, shift in enumerate(shifts)
+        })
+
+    x, y = element(), element()
+    surveyed, sorted_dicts = [], []
+    real_survey = laurent._survey
+
+    def survey(s):
+        surveyed.append(s)
+        return real_survey(s)
+
+    def counted_sorted(items):
+        sorted_dicts.append(items.mapping)
+        return sorted(items)
+
+    monkeypatch.setattr(laurent, "_survey", survey)
+    monkeypatch.setattr(laurent, "sorted", counted_sorted, raising=False)
+    product = x * y
+    monkeypatch.undo()
+    assert len({id(s) for s in surveyed}) == len(surveyed)
+    assert len({id(d) for d in sorted_dicts}) == len(sorted_dicts) > 0
+    ids = {id(s) for s in surveyed}
+    assert all(id(c.payload) in ids for c in y.coeffs.values())
+    assert product == x * y
 
 
 # --- inversion on representatives ---------------------------------------------
