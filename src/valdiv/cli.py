@@ -14,6 +14,7 @@ import sys
 
 from .errors import ParseError, UndefinedValueError, UsageError, ValdivError
 from .grammar import parse_algebra, parse_profile, print_algebra
+from .laurent import DEFAULT_PRECISION
 from .ordered import is_prime
 from .pipeline import SCHEMA_VERSION, run_example, selftest, sk1_witness_batch
 from .profiles import profile_from_tower
@@ -78,7 +79,7 @@ def _sizes(text: str) -> dict[str, int]:
 
 def _add_common(parser):
     parser.add_argument(
-        "--precision", type=_positive, default=32, help="relative series precision"
+        "--precision", type=_positive, default=DEFAULT_PRECISION, help="relative series precision"
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized routines")
     parser.add_argument(

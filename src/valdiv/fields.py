@@ -121,10 +121,7 @@ class FieldElement:
         return same_field and self.rep == other.rep
 
     def __hash__(self):
-        return hash((id(type(self.field)), self._hash_key()))
-
-    def _hash_key(self):
-        return self.field._key(self.rep)
+        return hash((id(type(self.field)), self.sort_key()))
 
     def is_zero(self) -> bool:
         return self.field._is_zero(self.rep)

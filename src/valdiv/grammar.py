@@ -2,7 +2,8 @@
 
     field    := "Q" | "F"<p> [ "[" name "]" "/" "(" expr ")" ]   (expr in name, powers >= 0)
     tower    := field ( "((" name "))" )*
-    profile  := ( field-base | "Qp" "(" "p" "=" int ")" | "decl" "(" cd-list ")" ) tower-suffix
+    profile  := ( field-base | "Qp" "(" "p" "=" prime ")" | "decl" "(" cd-list ")" ) tower-suffix
+    cd-list  := "cd"<prime> "=" (int>=0|"inf") ( "," ... )*   (each prime at most once)
     algebra  := "symbol" "(" "n" "=" int>=1 "," "omega" "=" (expr|"auto") ","
                  "a" "=" expr "," "b" "=" expr ")" "over" tower
     expr     := signed sum of products of integers, fractions and var^exp
@@ -27,7 +28,7 @@ from .fields import (
     PrimeField,
     primitive_root_of_unity,
 )
-from .laurent import Tower, TowerElement
+from .laurent import DEFAULT_PRECISION, Tower, TowerElement
 from .ordered import is_prime
 from .profiles import INF, FieldProfile, ResidueBase, residue_base
 from .symbol import SymbolAlgebra
@@ -57,9 +58,13 @@ class _Tokens:
             pos = m.end()
         self.idx = 0
 
+    def here(self) -> int:
+        """Position of the next token, or the end of the text."""
+        return self.items[self.idx][2] if self.idx < len(self.items) else len(self.text)
+
     def _fail(self, message: str, pos: int | None = None):
         if pos is None:
-            pos = self.items[self.idx][2] if self.idx < len(self.items) else len(self.text)
+            pos = self.here()
         line = self.text.count("\n", 0, pos) + 1
         col = pos - (self.text.rfind("\n", 0, pos) + 1)
         raise ParseError(message, line, col)
@@ -97,6 +102,14 @@ class _Tokens:
             self._fail(f"trailing input starting at {self.items[self.idx][1]!r}")
 
 
+def _parse_whole(text: str, read):
+    """read(tokens) over the whole of text: anything left after it is an error."""
+    tokens = _Tokens(text)
+    value = read(tokens)
+    tokens.done()
+    return value
+
+
 # ---------------------------------------------------------------------------
 # fields
 
@@ -109,10 +122,7 @@ def _parse_int(tokens: _Tokens) -> int:
 
 
 def parse_field(text: str) -> Field:
-    tokens = _Tokens(text)
-    field = _parse_field_base(tokens)
-    tokens.done()
-    return field
+    return _parse_whole(text, _parse_field_base)
 
 
 def _parse_field_base(tokens: _Tokens) -> Field:
@@ -173,12 +183,13 @@ def _parse_tower_suffix(tokens: _Tokens, field: Field | None) -> list[str]:
     return names
 
 
-def parse_tower(text: str, default_prec: int = 32) -> Tower:
-    tokens = _Tokens(text)
+def parse_tower(text: str, default_prec: int = DEFAULT_PRECISION) -> Tower:
+    return _parse_whole(text, lambda tokens: _parse_tower_inner(tokens, default_prec))
+
+
+def _parse_tower_inner(tokens: _Tokens, default_prec: int) -> Tower:
     base = _parse_field_base(tokens)
-    names = _parse_tower_suffix(tokens, base)
-    tokens.done()
-    return Tower(base, names, default_prec=default_prec)
+    return Tower(base, _parse_tower_suffix(tokens, base), default_prec=default_prec)
 
 
 def print_tower(tower: Tower) -> str:
@@ -186,10 +197,7 @@ def print_tower(tower: Tower) -> str:
 
 
 def parse_profile(text: str) -> FieldProfile:
-    tokens = _Tokens(text)
-    profile = _parse_profile_inner(tokens)
-    tokens.done()
-    return profile
+    return _parse_whole(text, _parse_profile_inner)
 
 
 def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
@@ -202,7 +210,9 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
         tokens.expect("sym", "(")
         tokens.expect("name", "p")
         tokens.expect("sym", "=")
-        p = _parse_int(tokens)
+        pos, p = tokens.here(), _parse_int(tokens)
+        if not is_prime(p):
+            tokens._fail(f"p must be a prime, got {p}", pos)
         tokens.expect("sym", ")")
         base = ResidueBase("padic", p=p)
     elif name == "C":
@@ -211,23 +221,30 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
     elif name == "decl":
         tokens.next()
         tokens.expect("sym", "(")
-        entries = []
+        entries: dict[int, object] = {}
         while True:
-            key = tokens.expect("name")
+            pos, key = tokens.here(), tokens.expect("name")
             m = re.fullmatch(r"cd(\d+)", key)
             if not m:
                 tokens._fail(f"expected cd<q>=<value>, found {key!r}")
+            q = int(m.group(1))
+            if not is_prime(q):
+                tokens._fail(f"{key}: {q} is not a prime", pos)
+            if q in entries:
+                tokens._fail(f"cd{q} is declared twice", pos)
             tokens.expect("sym", "=")
-            nxt = tokens.peek()
+            pos, nxt = tokens.here(), tokens.peek()
             if nxt and nxt[0] == "name" and nxt[1] == INF:
                 tokens.next()
-                entries.append((int(m.group(1)), INF))
+                entries[q] = INF
             else:
-                entries.append((int(m.group(1)), _parse_int(tokens)))
+                entries[q] = _parse_int(tokens)
+                if entries[q] < 0:
+                    tokens._fail(f"cd{q} must be >= 0 or inf, got {entries[q]}", pos)
             if not tokens.accept("sym", ","):
                 break
         tokens.expect("sym", ")")
-        base = ResidueBase("declared", cd_table=tuple(sorted(entries)))
+        base = ResidueBase("declared", cd_table=tuple(sorted(entries.items())))
     else:
         field = _parse_field_base(tokens)
         base = residue_base(field)
@@ -267,7 +284,7 @@ def _parse_expression(tokens: _Tokens, tower: Tower) -> TowerElement:
             break
     payload = total.payload
     for prefix, bound in markers:
-        payload = _apply_marker(payload, prefix, bound, tokens, tower)
+        payload = _apply_marker(payload, prefix, bound)
     return TowerElement(tower, payload)
 
 
@@ -319,9 +336,11 @@ def _parse_marker(tokens: _Tokens, tower: Tower) -> tuple[tuple[int, ...], int]:
     """O(v^k) or O(v^e * w^k): positions down the nesting, then the bound."""
     comps: list[tuple[str, int]] = []
     while True:
-        name = tokens.expect("name")
+        pos, name = tokens.here(), tokens.expect("name")
         if name not in tower.variables:
             tokens._fail(f"unknown variable {name!r} in truncation marker")
+        if len(comps) == tower.height:
+            tokens._fail("truncation marker deeper than the tower", pos)
         e = 1
         if tokens.accept("sym", "^"):
             e = _parse_int(tokens)
@@ -329,31 +348,23 @@ def _parse_marker(tokens: _Tokens, tower: Tower) -> tuple[tuple[int, ...], int]:
         if not tokens.accept("sym", "*"):
             break
     # components must follow nesting order: outermost ... innermost
-    expected = [tower.variables[tower.height - 1 - d] for d in range(len(comps))]
-    for (name, _), want in zip(comps, expected):
+    for (name, _), want in zip(comps, reversed(tower.variables)):
         if name != want:
-            tokens._fail(
-                f"marker components must follow nesting order, expected {want!r}"
-            )
+            tokens._fail(f"marker components must follow nesting order, expected {want!r}")
     prefix = tuple(e for _, e in comps[:-1])
     return prefix, comps[-1][1]
 
 
-def _apply_marker(payload, prefix, bound, tokens, tower):
+def _apply_marker(payload, prefix, bound):
+    """The series payload with O(.) applied; _parse_marker keeps it above the field."""
     if not prefix:
-        if isinstance(payload, FieldElement):
-            tokens._fail("truncation marker deeper than the tower")
         new_bound = bound if payload.bound is None else min(payload.bound, bound)
         return payload.ring.series(payload.coeffs, new_bound)
     e = prefix[0]
-    if isinstance(payload, FieldElement):
-        tokens._fail("truncation marker deeper than the tower")
     inner = payload.coeffs.get(e)
     if inner is None:
         inner = payload.ring.coeff_ring.zero()
-        if isinstance(inner, FieldElement):
-            tokens._fail("truncation marker deeper than the tower")
-    new_inner = _apply_marker(inner, prefix[1:], bound, tokens, tower)
+    new_inner = _apply_marker(inner, prefix[1:], bound)
     coeffs = dict(payload.coeffs)
     coeffs[e] = new_inner
     # a marker at a position beyond the outer window is a no-op: ring.series
@@ -362,10 +373,7 @@ def _apply_marker(payload, prefix, bound, tokens, tower):
 
 
 def parse_series(text: str, tower: Tower) -> TowerElement:
-    tokens = _Tokens(text)
-    value = _parse_expression(tokens, tower)
-    tokens.done()
-    return value
+    return _parse_whole(text, lambda tokens: _parse_expression(tokens, tower))
 
 
 def print_series(element: TowerElement) -> str:
@@ -417,11 +425,8 @@ def _render_term(tower: Tower, exps: tuple[int, ...], coeff: FieldElement) -> st
 # algebras
 
 
-def parse_algebra(text: str, default_prec: int = 32) -> SymbolAlgebra:
-    tokens = _Tokens(text)
-    alg = _parse_algebra_inner(tokens, default_prec)
-    tokens.done()
-    return alg
+def parse_algebra(text: str, default_prec: int = DEFAULT_PRECISION) -> SymbolAlgebra:
+    return _parse_whole(text, lambda tokens: _parse_algebra_inner(tokens, default_prec))
 
 
 def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
@@ -447,9 +452,7 @@ def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
             tokens.expect("sym", ",")
     tokens.expect("sym", ")")
     tokens.expect("name", "over")
-    base = _parse_field_base(tokens)
-    names = _parse_tower_suffix(tokens, base)
-    tower = Tower(base, names, default_prec=default_prec)
+    tower = _parse_tower_inner(tokens, default_prec)
     after_tower = tokens.idx
 
     def read(key, parse):
@@ -488,7 +491,7 @@ def print_algebra(alg: SymbolAlgebra) -> str:
     )
 
 
-def parse_description(text: str, default_prec: int = 32):
+def parse_description(text: str, default_prec: int = DEFAULT_PRECISION):
     """Dispatch: algebra descriptions start with `symbol`, else a profile."""
     stripped = text.lstrip()
     if stripped.startswith("symbol"):

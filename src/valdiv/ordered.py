@@ -154,7 +154,8 @@ def hermite_normal_form(rows: Iterable[Sequence[int]], ncols: int) -> list[list[
             pivot = [-x for x in pivot]
         basis.append(pivot)
         work = others
-    for i in range(len(basis) - 1, -1, -1):
+    # left pivots first: row i, zero left of its pivot, keeps earlier reductions
+    for i in range(len(basis)):
         p = next(c for c, x in enumerate(basis[i]) if x)
         for j in range(i):
             q = basis[j][p] // basis[i][p]
@@ -234,14 +235,6 @@ class Lattice:
                 denom = lcm(denom, x.denominator)
         int_rows = [[int(x * denom) for x in g] for g in gens]
         basis = hermite_normal_form(int_rows, ambient_rank)
-        content = 0
-        for row in basis:
-            for x in row:
-                content = gcd(content, x)
-        shrink = gcd(denom, content)
-        if shrink > 1:
-            denom //= shrink
-            basis = [[x // shrink for x in row] for row in basis]
         return Lattice(ambient_rank, denom, tuple(tuple(r) for r in basis))
 
     @staticmethod

@@ -14,7 +14,7 @@ from .errors import DegenerateDecompositionError, UsageError, ValdivError
 from .fields import ExtensionField, PrimeField, frobenius
 from .graded import nrd_grade_check, theta, tilde
 from .grammar import parse_algebra, print_algebra
-from .laurent import Tower, TwistedSeriesRing, central_indeterminate
+from .laurent import DEFAULT_PRECISION, Tower, TwistedSeriesRing, central_indeterminate
 from .ordered import Lattice, lex_compare, quotient
 from .profiles import FieldProfile, ResidueBase, declared_profile, profile_from_tower
 from .sk1 import (
@@ -31,12 +31,12 @@ from .symbol import SymbolAlgebra
 SCHEMA_VERSION = 1
 
 
-def build_symbol_example(n: int, p: int, precision: int = 32) -> SymbolAlgebra:
+def build_symbol_example(n: int, p: int, precision: int = DEFAULT_PRECISION) -> SymbolAlgebra:
     """(x, y) symbol of degree n over F_p((x))((y)), smallest primitive root."""
     return parse_algebra(f"symbol(n={n}, omega=auto, a=x, b=y) over F{p}((x))((y))", precision)
 
 
-def build_quaternion_example(precision: int = 32) -> SymbolAlgebra:
+def build_quaternion_example(precision: int = DEFAULT_PRECISION) -> SymbolAlgebra:
     """(2, t) over F5((t)): non-square unit and uniformizer."""
     return parse_algebra("symbol(n=2, omega=-1, a=2, b=t) over F5((t))", precision)
 
@@ -46,7 +46,7 @@ def build_rational_quaternion() -> SymbolAlgebra:
     return parse_algebra("symbol(n=2, omega=-1, a=-1, b=-1) over Q")
 
 
-def run_example(idx: int, precision: int = 32, seed: int = 0) -> dict:
+def run_example(idx: int, precision: int = DEFAULT_PRECISION, seed: int = 0) -> dict:
     if idx == 1:
         return _example_completion_profile()
     if idx == 2:

@@ -51,10 +51,10 @@ class CommutatorWitness:
     target: AlgebraElement
 
     def product(self) -> AlgebraElement:
-        alg = self.target.algebra
-        acc = alg.one()
-        for x, y in self.factors:
-            acc = acc * (x * y * x.inv() * y.inv())
+        acc = self.target.algebra.one()
+        for k, (x, y) in enumerate(self.factors):
+            c = x * y * x.inv() * y.inv()
+            acc = acc * c if k else c
         return acc
 
     def verify(self) -> bool:
@@ -371,7 +371,7 @@ def decompose_norm_one(
     elif all(k == 0 for k, _ in keys):
         conj_by = alg.i()
     else:
-        conj_by = _search_monomial_conjugator(e, rng)
+        conj_by = _search_monomial_conjugator(e)
         if conj_by is None:
             raise DegenerateDecompositionError(
                 "element does not generate a recognized conjugation-cyclic layer"
@@ -382,16 +382,17 @@ def decompose_norm_one(
     if order is None:
         raise DegenerateDecompositionError("conjugation does not close on the layer")
 
+    powers = [alg.one(), e]  # e^k, each formed at most once per call
+
     def sample(attempt: int) -> AlgebraElement:
         # random element of the layer generated by e
         out = alg.zero()
-        power = alg.one()
         for k in range(order):
-            if k:
-                power = power * e
             c = rng.randint(0, max(alg.tower.base.char - 1, 9))
             if c:
-                out = out + power.scale(alg.tower.constant(c))
+                while len(powers) <= k:
+                    powers.append(powers[-1] * e)
+                out = out + powers[k].scale(alg.tower.constant(c))
         return out
 
     c = hilbert90_decompose(e, sigma, order, sample)
@@ -415,7 +416,7 @@ def _scalar_witness(e: AlgebraElement, alg: SymbolAlgebra):
     return None
 
 
-def _search_monomial_conjugator(e: AlgebraElement, rng) -> AlgebraElement | None:
+def _search_monomial_conjugator(e: AlgebraElement) -> AlgebraElement | None:
     alg = e.algebra
     n = alg.degree
     candidates = [alg.j(), alg.i()]

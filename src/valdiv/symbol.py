@@ -472,7 +472,7 @@ class AlgebraElement:
                 raise NotInvertibleError("reduced norm is zero; not a unit")
             raise PrecisionExhaustedError("reduced norm is undecided at precision")
         c0_inv = c0.inv()
-        powers = self._powers or [alg.one()]  # 1, x, ..., x^m from the trace route
+        powers = self._powers or [alg.one(), self]  # 1, x, ..., x^m from the trace route
         self._powers = None
         while len(powers) < alg.degree:
             powers.append(powers[-1] * self)

@@ -265,6 +265,18 @@ def test_cd_non_prime_q_is_input_error(capsys):
     _assert_input_error(capsys, "cd", "--profile", "decl(cd2=1)((x))", "--q", "4")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["cd", "--profile", "Qp(p=4)((t))", "--q", "3"],
+        ["verdict", "--profile", "decl(cd3=-1)((x))((y))((z))((w))", "--q", "3", "--algebra",
+         "symbol(n=9, omega=auto, a=x, b=y) over F19((x))((y))((z))((w))"],
+    ],
+)
+def test_invalid_profile_parameter_is_input_error(capsys, command):
+    assert "(line 1, col" in _assert_input_error(capsys, *command)
+
+
 def test_zero_precision_is_input_error(capsys):
     _assert_input_error(
         capsys, "classify", "--precision", "0", "--algebra",

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -71,6 +72,23 @@ def test_canonicalization_is_idempotent_and_equality_works():
     assert a == b
     again = Lattice.from_generators(2, a.fraction_rows())
     assert again == a
+
+
+def test_canonical_form_is_in_lowest_terms_and_a_fixed_point():
+    """Each prime of the denominator leaves some entry prime to it, so the
+    canonical form needs no division by a common content; and the Hermite
+    form of the canonical rows is those rows, with every entry above a pivot
+    reduced, so equal lattices compare equal."""
+    rng = random.Random(237)
+    for _ in range(500):
+        r = rng.randint(1, 4)
+        gens = [
+            [F(rng.randint(-12, 12), rng.randint(1, 12)) for _ in range(r)]
+            for _ in range(rng.randint(1, r + 2))
+        ]
+        lat = Lattice.from_generators(r, gens)
+        assert gcd(lat.denominator, *(x for row in lat.rows for x in row)) == 1
+        assert Lattice.from_generators(r, lat.fraction_rows()) == lat
 
 
 def test_membership_is_exact():

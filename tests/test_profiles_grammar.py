@@ -50,6 +50,40 @@ def test_parse_errors_are_positioned():
         parse_field("G5")
     with pytest.raises(ParseError):
         parse_profile("decl(cd2)")
+    with pytest.raises(ParseError, match=r"^unexpected character \(line 1, col 3\)$"):
+        parse_field("F7 @")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("Qp(p=4)((t))", "p must be a prime, got 4 (line 1, col 5)"),
+        ("Qp(p=0)((t))", "p must be a prime, got 0 (line 1, col 5)"),
+        ("Qp(p=-7)((t))", "p must be a prime, got -7 (line 1, col 5)"),
+        ("decl(cd4=1)((t))", "cd4: 4 is not a prime (line 1, col 5)"),
+        ("decl(cd2=1, cd1=0)", "cd1: 1 is not a prime (line 1, col 12)"),
+        ("decl(cd2=1, cd2=3)((t))", "cd2 is declared twice (line 1, col 12)"),
+        ("decl(cd3=-1)((x))((y))((z))((w))", "cd3 must be >= 0 or inf, got -1 (line 1, col 9)"),
+    ],
+)
+def test_invalid_profile_parameters_fail_at_their_token(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_profile(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "tower, text, col",
+    [
+        ("F7((x))((y))", "O(y*x*x^3)", 6),
+        ("F7((x))((y))", "2 + O(y*x*y)", 10),
+        ("F5((t))", "O(t*t)", 4),
+    ],
+)
+def test_marker_deeper_than_the_tower_fails_at_the_extra_component(tower, text, col):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, parse_tower(tower))
+    assert str(err.value) == f"truncation marker deeper than the tower (line 1, col {col})"
 
 
 def test_parse_tower():
@@ -58,6 +92,7 @@ def test_parse_tower():
     assert tow.variables == ("x", "y")
     assert tow.default_prec == 8
     assert parse_tower(print_tower(tow)) == tow
+    assert parse_tower("F5((x))((y))  \n", default_prec=8) == tow
 
 
 def test_parse_profile_shapes():
@@ -142,6 +177,8 @@ def test_profile_from_tower():
     assert prof.residue_char == 7
     assert prof.r_q(3) == 2
     assert prof.cd_q(3).value == 3
+    over_f9 = profile_from_tower(parse_tower("F3[w]/(w^2+1)((t))"))
+    assert over_f9.describe() == "F3^2((t))" and over_f9.residue_char == 3
 
 
 def test_parse_algebra_and_round_trip():
@@ -173,6 +210,10 @@ def test_series_literals_round_trip():
     exact = parse_series("2 + 3*t^2 + t^-1", tow)
     assert print_series(exact) == "t^-1 + 2 + 3*t^2"
     assert parse_series(print_series(exact), tow) == exact
+
+    # parenthesized factors, alone and inside a product
+    assert print_series(parse_series("(1+t)", tow)) == "1 + t"
+    assert print_series(parse_series("2*(1+t)*t", tow)) == "2*t + 2*t^2"
 
 
 def test_series_round_trip_after_arithmetic():

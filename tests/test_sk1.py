@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -295,6 +296,47 @@ def test_decompose_j_span_and_degenerate():
         assert wit.verify()
 
 
+def _spied_products(monkeypatch):
+    products = []
+    real = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    return products
+
+
+def test_decompose_in_the_j_layer_conjugates_by_i_and_multiplies_by_no_one(monkeypatch):
+    """e = c i c^-1 i^-1 with c = 1 + 2j + 3j^2 lies in F[j], so its witness
+    is one commutator with i.  No product of the decomposition, its Hilbert 90
+    samples or its verification has one as a factor, and e^2 is formed once."""
+    alg = make_symbol_xy(3, 7)
+    i, j = alg.i(), alg.j()
+    c = alg.one() + j.scale(alg.tower.constant(2)) + (j * j).scale(alg.tower.constant(3))
+    e = c * i * c.inv() * i.inv()
+    assert all(k == 0 for k, _ in e.coeffs)
+    cert = certify_norm_one(e)
+    products = _spied_products(monkeypatch)
+    witness = decompose_norm_one(cert, random.Random(5))
+    assert witness.verify() and len(witness) == 1
+    assert witness.factors[0][1] == i
+    assert [pair for pair in products if alg.one() in pair] == []
+    assert sum(y is e for _, y in products) == 1
+
+
+def test_witness_product_of_several_commutators_multiplies_by_no_one(monkeypatch):
+    alg = make_symbol_xy(3, 7)
+    omega_sq = alg.scalar(alg.omega**2)
+    witness = decompose_norm_one(certify_norm_one(omega_sq))
+    assert len(witness) == 2
+    products = _spied_products(monkeypatch)
+    assert witness.product() == omega_sq
+    assert products and [pair for pair in products if alg.one() in pair] == []
+    assert CommutatorWitness((), alg.one()).product() == alg.one()
+
+
 def test_commutator_witness_verification_catches_corruption():
     alg = make_quaternion_f5()
     good = CommutatorWitness(((alg.i(), alg.j()),), commutator(alg.i(), alg.j()).element)
@@ -337,6 +379,14 @@ def test_compute_zeta_corpus():
     }
     assert ctx.notes == ()  # formula already gives 1
     assert ctx.grade_quotient.is_cyclic
+
+    # without tameness zeta is the index quotient, 3 / 1 when totally ramified
+    report = make_symbol_xy(3, 7).classify()
+    ctx = compute_zeta(dataclasses.replace(report, is_tame=False))
+    assert ctx.zeta == 3 and ctx.notes == ()
+    undecided = compute_zeta(dataclasses.replace(report, is_tame=False, is_division=None))
+    assert undecided.zeta is None and undecided.zeta_formula_inputs is None
+    assert undecided.notes == ("residue data insufficient; zeta unknown",)
 
 
 def test_verdict_case_rank_two():

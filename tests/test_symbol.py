@@ -385,6 +385,11 @@ def test_classification_quaternion_semiramified():
     from valdiv.fields import is_square
 
     assert not is_square(i_sq_res)
+    # a residue needs positive value on every non-scalar term: v(t j) = 3/2, v(i) = 0
+    t = alg.tower.var("t")
+    assert (alg.scalar(3) + alg.monomial(0, 1, t)).residue() == alg.tower.base.element(3)
+    with pytest.raises(UnsupportedFieldError, match="positive value"):
+        (alg.scalar(3) + alg.i()).residue()
 
 
 def test_classify_reads_squares_from_the_residue(monkeypatch):
@@ -893,6 +898,24 @@ def test_inverse_forms_only_the_powers_prd_did_not(monkeypatch, n, p):
     assert e._powers is None
 
 
+def test_inverse_on_the_berkowitz_route_starts_its_powers_at_x(monkeypatch):
+    """A truncated element forms x^2, ..., x^(n-1) and multiplies nothing by one."""
+    alg, truncated = _route_algebra("F13", 4, 2)
+    e = alg.one() + alg.i() + alg.monomial(1, 1, truncated)
+    products = []
+    real = AlgebraElement.__mul__
+
+    def counted(x, y):
+        products.append((x, y))
+        return real(x, y)
+
+    monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    e.inv()
+    assert e._powers is None  # Berkowitz: prd kept no powers
+    assert len(products) == alg.degree - 2
+    assert [pair for pair in products if alg.one() in pair] == []
+
+
 def _spied_charpoly(monkeypatch):
     calls = []
     real = symbol._l_charpoly
@@ -925,3 +948,25 @@ def test_norm_routes_agree_with_the_left_regular_determinant(monkeypatch, name, 
         assert left_regular_det(e).agrees_to_precision(e.nrd() ** 4)
         checked += 1
     assert len(calls) == (4 if berkowitz else 0)
+
+
+# --- one as a factor --------------------------------------------------------------
+
+
+def test_one_is_a_neutral_factor_bound_for_bound():
+    """one * x and x * one equal x in every key, coefficient and bound at every
+    level, on 600 truncated elements over F13((x))..., heights 1-3 and n = 2-4;
+    so a chain of products may start from its first factor instead of one."""
+    rng = random.Random(600)
+    shapes = [(height, n) for height in (1, 2, 3) for n in (2, 3, 4)]
+    algebras = {shape: _route_algebra("F13", shape[1], shape[0]) for shape in shapes}
+    for case in range(600):
+        alg, truncated = algebras[shapes[case % len(shapes)]]
+        keys = rng.sample([(k, l) for k in range(alg.degree) for l in range(alg.degree)], 2)
+        coefficients = [_trace_coefficient(alg.tower, rng) * truncated]
+        coefficients.append(_trace_coefficient(alg.tower, rng))
+        x = alg.monomial(*keys[0], coefficients[0]) + alg.monomial(*keys[1], coefficients[1])
+        assert any(_has_bound(series_plain(c.payload)) for c in x.coeffs.values())
+        want = _algebra_plain(x)
+        assert _algebra_plain(alg.one() * x) == want
+        assert _algebra_plain(x * alg.one()) == want
