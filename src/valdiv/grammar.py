@@ -2,7 +2,8 @@
 
     field    := "Q" | "F"<p> [ "[" name "]" "/" "(" expr ")" ]   (expr in name, powers >= 0)
     tower    := field ( "((" name "))" )*
-    profile  := ( field-base | "Qp" "(" "p" "=" prime ")" | "decl" "(" cd-list ")" ) tower-suffix
+    profile  := ( field | "F"<p> "^" int>=1 | "Qp" "(" "p" "=" prime ")" | "decl" "(" cd-list ")" )
+                tower-suffix
     cd-list  := "cd"<prime> "=" (int>=0|"inf") ( "," ... )*   (each prime at most once)
     algebra  := "symbol" "(" "n" "=" int>=1 "," "omega" "=" (expr|"auto") ","
                  "a" "=" expr "," "b" "=" expr ")" "over" tower
@@ -226,7 +227,7 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
             pos, key = tokens.here(), tokens.expect("name")
             m = re.fullmatch(r"cd(\d+)", key)
             if not m:
-                tokens._fail(f"expected cd<q>=<value>, found {key!r}")
+                tokens._fail(f"expected cd<q>=<value>, found {key!r}", pos)
             q = int(m.group(1))
             if not is_prime(q):
                 tokens._fail(f"{key}: {q} is not a prime", pos)
@@ -248,6 +249,11 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
     else:
         field = _parse_field_base(tokens)
         base = residue_base(field)
+        if isinstance(field, PrimeField) and tokens.accept("sym", "^"):
+            pos, k = tokens.here(), _parse_int(tokens)
+            if k < 1:
+                tokens._fail(f"the extension degree must be >= 1, got {k}", pos)
+            base = ResidueBase("finite", p=field.char, extension_degree=k)
     names = _parse_tower_suffix(tokens, field)
     return FieldProfile(base, tuple(names))
 
@@ -334,24 +340,24 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
 
 def _parse_marker(tokens: _Tokens, tower: Tower) -> tuple[tuple[int, ...], int]:
     """O(v^k) or O(v^e * w^k): positions down the nesting, then the bound."""
-    comps: list[tuple[str, int]] = []
+    comps: list[tuple[str, int, int]] = []  # name, exponent, position
     while True:
         pos, name = tokens.here(), tokens.expect("name")
         if name not in tower.variables:
-            tokens._fail(f"unknown variable {name!r} in truncation marker")
+            tokens._fail(f"unknown variable {name!r} in truncation marker", pos)
         if len(comps) == tower.height:
             tokens._fail("truncation marker deeper than the tower", pos)
         e = 1
         if tokens.accept("sym", "^"):
             e = _parse_int(tokens)
-        comps.append((name, e))
+        comps.append((name, e, pos))
         if not tokens.accept("sym", "*"):
             break
     # components must follow nesting order: outermost ... innermost
-    for (name, _), want in zip(comps, reversed(tower.variables)):
+    for (name, _, pos), want in zip(comps, reversed(tower.variables)):
         if name != want:
-            tokens._fail(f"marker components must follow nesting order, expected {want!r}")
-    prefix = tuple(e for _, e in comps[:-1])
+            tokens._fail(f"marker components must follow nesting order, expected {want!r}", pos)
+    prefix = tuple(e for _, e, _ in comps[:-1])
     return prefix, comps[-1][1]
 
 

@@ -58,6 +58,22 @@ class ResidueBase:
     extension_degree: int = 1
     cd_table: tuple[tuple[int, object], ...] = ()
 
+    def __post_init__(self):
+        # what describe() prints must parse back: the grammar refuses these
+        # at their tokens, and the constructors refuse them here
+        if self.kind in ("finite", "padic") and not is_prime(self.p):
+            raise UsageError(f"p must be a prime, got {self.p}")
+        if self.extension_degree < 1:
+            raise UsageError(f"the extension degree must be >= 1, got {self.extension_degree}")
+        primes = [q for q, _ in self.cd_table]
+        if len(set(primes)) < len(primes):
+            raise UsageError("a prime is declared twice")
+        for q, v in self.cd_table:
+            if not is_prime(q):
+                raise UsageError(f"cd{q}: {q} is not a prime")
+            if v != INF and not (isinstance(v, int) and v >= 0):
+                raise UsageError(f"cd{q} must be >= 0 or inf, got {v}")
+
     @property
     def residue_char(self) -> int:
         return self.p if self.kind == "finite" else 0

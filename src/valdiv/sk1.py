@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .errors import (
     CharPolyMismatchError,
@@ -51,9 +51,12 @@ class CommutatorWitness:
     target: AlgebraElement
 
     def product(self) -> AlgebraElement:
-        acc = self.target.algebra.one()
+        """The product of the commutators, each distinct pair formed once."""
+        acc, formed = self.target.algebra.one(), {}
         for k, (x, y) in enumerate(self.factors):
-            c = x * y * x.inv() * y.inv()
+            if (id(x), id(y)) not in formed:
+                formed[id(x), id(y)] = x * y * x.inv() * y.inv()
+            c = formed[id(x), id(y)]
             acc = acc * c if k else c
         return acc
 
@@ -158,7 +161,7 @@ def hilbert90_decompose(a, sigma, order: int, sample):
         sig_a = sigma(sig_a)
         prefixes.append(prefixes[-1] * sig_a)
     nrm = prefixes[-1]
-    if not _equalish(nrm, _one_like(a)):
+    if not _equalish(nrm, a**0):
         raise NormCertificateError(f"norm along the cyclic layer is {nrm}, not 1")
     for attempt in range(RETRIES):
         b = sample(attempt)
@@ -175,36 +178,37 @@ def hilbert90_decompose(a, sigma, order: int, sample):
     )
 
 
-def _one_like(x):
-    if isinstance(x, AlgebraElement):
-        return x.algebra.one()
-    return x.field.one()
-
-
 def _equalish(u, v) -> bool:
     return (u - v).indistinguishable_from_zero()
+
+
+def _phase(x0_key, key, n: int) -> int:
+    """m with x0 i^k' j^l' x0^-1 = omega^m i^k' j^l' for x0 = i^k j^l:
+    m = l k' - k l' mod n, from j^l i^k' = omega^(l k') i^k' j^l."""
+    (k, l), (k2, l2) = x0_key, key
+    return (l * k2 - k * l2) % n
 
 
 def conjugation(x0: AlgebraElement):
     """The inner automorphism z -> x0 z x0^-1 as a callable.
 
     For x0 = i^k j^l with coefficient 1 and an exact inverse it is a phase,
-    c i^k' j^l' -> omega^(l k' - k l') c i^k' j^l', term by term.  Otherwise
+    c i^k' j^l' -> omega^m c i^k' j^l' with m = _phase, term by term.  Otherwise
     it is the two products: a truncated inverse truncates windows that the
     phase would keep exact, and the products' windows are the ones kept.
     """
     alg = x0.algebra
     x0_inv = x0.inv()  # x0 is a unit, so it has a term
-    ((k, l), c), *rest = x0.coeffs.items()
+    (x0_key, c), *rest = x0.coeffs.items()
     if not rest and c == alg.tower.one() and all(d.is_exact() for d in x0_inv.coeffs.values()):
         n, omega_pow = alg.degree, alg._omega_pow
 
         def phase(z: AlgebraElement) -> AlgebraElement:
             x0._check(z)
             out = {}
-            for (k2, l2), c2 in z.coeffs.items():
-                m = (l * k2 - k * l2) % n
-                out[(k2, l2)] = c2.scale(omega_pow[m]) if m else c2
+            for key, c2 in z.coeffs.items():
+                m = _phase(x0_key, key, n)
+                out[key] = c2.scale(omega_pow[m]) if m else c2
             return AlgebraElement(alg, out)
 
         return phase
@@ -344,15 +348,15 @@ def decompose_norm_one(
 
     Supported regimes: the identity; central scalars that are powers of the
     root of unity (their witness is the generator commutator repeated); and
-    elements of the cyclic layers generated by powers of i or of j, where
-    conjugation by the opposite generator realizes the Galois action and a
-    Hilbert-90 resolvent produces the single commutator [c, x0].  Everything
-    returned has been re-multiplied and checked.
+    elements moved by conjugation by a monomial x0 (j, i, then i^k j^l) into
+    an element they commute with, where that conjugation realizes the Galois
+    action of the cyclic layer and a Hilbert-90 resolvent produces the single
+    commutator [c, x0].  Everything returned has been re-multiplied and
+    checked.
     """
     rng = rng or random.Random(0)
     e = cert.element
     alg = e.algebra
-    n = alg.degree
 
     if _equalish(e, alg.one()):
         return CommutatorWitness((), e)
@@ -365,22 +369,8 @@ def decompose_norm_one(
             "central norm-one scalar outside the root-of-unity image"
         )
 
-    keys = set(e.coeffs)
-    if all(l == 0 for _, l in keys):
-        conj_by = alg.j()
-    elif all(k == 0 for k, _ in keys):
-        conj_by = alg.i()
-    else:
-        conj_by = _search_monomial_conjugator(e)
-        if conj_by is None:
-            raise DegenerateDecompositionError(
-                "element does not generate a recognized conjugation-cyclic layer"
-            )
-
+    conj_by, order = _search_monomial_conjugator(e)
     sigma = conjugation(conj_by)
-    order = _action_order(e, sigma, n)
-    if order is None:
-        raise DegenerateDecompositionError("conjugation does not close on the layer")
 
     powers = [alg.one(), e]  # e^k, each formed at most once per call
 
@@ -407,40 +397,41 @@ def _scalar_witness(e: AlgebraElement, alg: SymbolAlgebra):
     power = alg.tower.one()
     for k in range(alg.degree):
         if _equalish(s, power):
-            factors = tuple((alg.j(), alg.i()) for _ in range(k))
-            witness = CommutatorWitness(factors, e)
-            if witness.verify():
-                return witness
-            return None
+            witness = CommutatorWitness(((alg.j(), alg.i()),) * k, e)
+            return witness if witness.verify() else None
         power = power.scale(alg.omega)
     return None
 
 
-def _search_monomial_conjugator(e: AlgebraElement) -> AlgebraElement | None:
+def _search_monomial_conjugator(e: AlgebraElement) -> tuple[AlgebraElement, int]:
+    """The first of j, i, i^k j^l whose conjugation sigma moves e to an
+    element commuting with e, and the order of sigma on e; a
+    DegenerateDecompositionError when no monomial does.
+
+    sigma scales c i^k' j^l' by omega^m, m = _phase, so its order on e is
+    n / gcd(n, phases of the certified keys), and order 1 fixes e.  Keys of
+    pairwise phase 0 span a commutative subalgebra that sigma maps into
+    itself, so then sigma(e) commutes with e without a product.
+    """
     alg = e.algebra
     n = alg.degree
-    candidates = [alg.j(), alg.i()]
-    candidates += [
-        alg.monomial(k, l)
-        for k in range(n)
-        for l in range(n)
-        if (k, l) not in ((0, 0), (1, 0), (0, 1))
-    ]
+    keys = [kl for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()]
+    commutative = all(_phase(u, v, n) == 0 for u in keys for v in keys)
+    candidates = [alg.j(), alg.i()]  # then every i^k j^l with k + l > 1: all but 1, i, j
+    candidates += [alg.monomial(k, l) for k in range(n) for l in range(n) if k + l > 1]
     for x0 in candidates:
-        sigma = conjugation(x0)
-        se = sigma(e)
-        if _equalish(se * e, e * se) and not _equalish(se, e):
-            return x0
-    return None
-
-
-def _action_order(e: AlgebraElement, sigma, bound: int) -> int | None:
-    cur = e
-    for k in range(1, bound + 1):
-        cur = sigma(cur)
-        if _equalish(cur, e):
-            return k
-    return None
+        (x0_key,) = x0.coeffs
+        order = n // gcd(n, *(_phase(x0_key, key, n) for key in keys))
+        if order == 1:
+            continue
+        if commutative:
+            return x0, order
+        se = conjugation(x0)(e)
+        if _equalish(se * e, e * se):
+            return x0, order
+    raise DegenerateDecompositionError(
+        "element does not generate a recognized conjugation-cyclic layer"
+    )
 
 
 # ---------------------------------------------------------------------------

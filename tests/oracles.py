@@ -626,3 +626,54 @@ def splitting_trace(e):
         if kl != (0, 0) and not comp.indistinguishable_from_zero():
             raise AssertionError("reduced trace acquired a component in i")
     return total.scalar_part()
+
+
+# ---------------------------------------------------------------------------
+# the cyclic layer of a norm-one decomposition, chosen by walking the orbit
+
+
+def orbit_walk_layer(e):
+    """(x0, order) for decomposing the non-scalar e by shortcuts, products
+    and the orbit walk: the reference for `sk1._search_monomial_conjugator`,
+    which reads both off e's keys.
+
+    Keys all in F[i] (l = 0) take x0 = j, keys all in F[j] take x0 = i, and
+    otherwise the first of j, i, i^k j^l whose conjugation sigma moves e and
+    commutes with it, both decided by products.  The order is the first
+    r <= n with sigma^r(e) equal to e to precision, found by applying sigma
+    r times.  Raises DegenerateDecompositionError as the library did.
+    """
+    from valdiv.errors import DegenerateDecompositionError
+    from valdiv.sk1 import conjugation
+
+    def equalish(u, v):
+        return (u - v).indistinguishable_from_zero()
+
+    alg, n = e.algebra, e.algebra.degree
+    keys = set(e.coeffs)
+    if all(l == 0 for _, l in keys):
+        x0 = alg.j()
+    elif all(k == 0 for k, _ in keys):
+        x0 = alg.i()
+    else:
+        candidates = [alg.j(), alg.i()]
+        candidates += [
+            alg.monomial(k, l)
+            for k in range(n)
+            for l in range(n)
+            if (k, l) not in ((0, 0), (1, 0), (0, 1))
+        ]
+        for x0 in candidates:
+            se = conjugation(x0)(e)
+            if equalish(se * e, e * se) and not equalish(se, e):
+                break
+        else:
+            raise DegenerateDecompositionError(
+                "element does not generate a recognized conjugation-cyclic layer"
+            )
+    sigma, cur = conjugation(x0), e
+    for order in range(1, n + 1):
+        cur = sigma(cur)
+        if equalish(cur, e):
+            return x0, order
+    raise DegenerateDecompositionError("conjugation does not close on the layer")

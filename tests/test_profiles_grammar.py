@@ -1,8 +1,9 @@
 import random
+import re
 
 import pytest
 
-from valdiv.errors import ParseError, UndefinedValueError
+from valdiv.errors import ParseError, UndefinedValueError, UsageError
 from valdiv.fields import QQ, ExtensionField, PrimeField
 from valdiv.grammar import (
     parse_algebra,
@@ -18,7 +19,7 @@ from valdiv.grammar import (
     print_tower,
 )
 from valdiv.laurent import Tower
-from valdiv.profiles import FieldProfile, declared_profile, profile_from_tower
+from valdiv.profiles import INF, FieldProfile, ResidueBase, declared_profile, profile_from_tower
 from valdiv.symbol import SymbolAlgebra
 
 from oracles import series_invariant_breaches, series_plain
@@ -64,6 +65,9 @@ def test_parse_errors_are_positioned():
         ("decl(cd2=1, cd1=0)", "cd1: 1 is not a prime (line 1, col 12)"),
         ("decl(cd2=1, cd2=3)((t))", "cd2 is declared twice (line 1, col 12)"),
         ("decl(cd3=-1)((x))((y))((z))((w))", "cd3 must be >= 0 or inf, got -1 (line 1, col 9)"),
+        ("decl(x=1)((t))", "expected cd<q>=<value>, found 'x' (line 1, col 5)"),
+        ("F5^0((t))", "the extension degree must be >= 1, got 0 (line 1, col 3)"),
+        ("F5^-2", "the extension degree must be >= 1, got -2 (line 1, col 3)"),
     ],
 )
 def test_invalid_profile_parameters_fail_at_their_token(text, message):
@@ -84,6 +88,56 @@ def test_marker_deeper_than_the_tower_fails_at_the_extra_component(tower, text, 
     with pytest.raises(ParseError) as err:
         parse_series(text, parse_tower(tower))
     assert str(err.value) == f"truncation marker deeper than the tower (line 1, col {col})"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("O(y*x*z)", "unknown variable 'z' in truncation marker (line 1, col 6)"),
+        ("O(w)", "unknown variable 'w' in truncation marker (line 1, col 2)"),
+        ("O(x*y^2)", "marker components must follow nesting order, expected 'y' (line 1, col 2)"),
+        ("y + O(x^3)", "marker components must follow nesting order, expected 'y' (line 1, col 6)"),
+        ("O(y*y)", "marker components must follow nesting order, expected 'x' (line 1, col 4)"),
+    ],
+)
+def test_marker_errors_point_at_the_offending_component(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_series(text, parse_tower("F7((x))((y))"))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "profile",
+    [
+        FieldProfile(ResidueBase("finite", p=5), ("t",)),
+        FieldProfile(ResidueBase("finite", p=2, extension_degree=3)),
+        profile_from_tower(parse_tower("F3[w]/(w^2+1)((t))")),
+        profile_from_tower(parse_tower("Q((t))")),
+        FieldProfile(ResidueBase("padic", p=7), ("t",)),
+        FieldProfile(ResidueBase("alg_closed"), ("x", "y")),
+        declared_profile({3: 1, 2: INF}, ("x", "y")),
+    ],
+)
+def test_every_base_kind_parses_back_from_its_description(profile):
+    assert parse_profile(profile.describe()) == profile
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ResidueBase("padic", p=4), "p must be a prime, got 4"),
+        (lambda: ResidueBase("finite", p=9), "p must be a prime, got 9"),
+        (lambda: ResidueBase("finite", p=3, extension_degree=0), "the extension degree must be >= 1, got 0"),
+        (lambda: declared_profile({3: -1}, ("x", "y", "z", "w")), "cd3 must be >= 0 or inf, got -1"),
+        (lambda: declared_profile({4: 1}), "cd4: 4 is not a prime"),
+        (lambda: declared_profile({3: 1.5}), "cd3 must be >= 0 or inf, got 1.5"),
+        (lambda: declared_profile({3: "infinite"}), "cd3 must be >= 0 or inf, got infinite"),
+        (lambda: ResidueBase("declared", cd_table=((3, 1), (3, 2))), "a prime is declared twice"),
+    ],
+)
+def test_profile_constructors_refuse_what_the_grammar_refuses(build, message):
+    with pytest.raises(UsageError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_parse_tower():
@@ -179,6 +233,8 @@ def test_profile_from_tower():
     assert prof.cd_q(3).value == 3
     over_f9 = profile_from_tower(parse_tower("F3[w]/(w^2+1)((t))"))
     assert over_f9.describe() == "F3^2((t))" and over_f9.residue_char == 3
+    assert parse_profile("F3^2((t))") == over_f9
+    assert parse_profile("F3^1((t))") == parse_profile("F3((t))")
 
 
 def test_parse_algebra_and_round_trip():

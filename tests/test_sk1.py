@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from valdiv import symbol
+from valdiv import sk1, symbol
 from valdiv.errors import (
     CharPolyMismatchError,
+    DegenerateDecompositionError,
     NormCertificateError,
+    ValdivError,
 )
 from valdiv.fields import (
     QQ,
@@ -18,7 +20,7 @@ from valdiv.fields import (
     has_order,
     multiplicative_order,
 )
-from valdiv.grammar import parse_algebra
+from valdiv.grammar import parse_algebra, parse_series
 from valdiv.pipeline import sk1_witness_batch
 from valdiv.profiles import declared_profile, profile_from_tower
 from valdiv.sk1 import (
@@ -35,7 +37,7 @@ from valdiv.sk1 import (
 )
 from valdiv.symbol import AlgebraElement
 
-from oracles import series_plain
+from oracles import orbit_walk_layer, series_plain
 
 from conftest import (
     make_quaternion_f5,
@@ -337,6 +339,78 @@ def test_witness_product_of_several_commutators_multiplies_by_no_one(monkeypatch
     assert CommutatorWitness((), alg.one()).product() == alg.one()
 
 
+def test_witness_product_forms_each_commutator_once(monkeypatch):
+    """The witness of omega^2 repeats [j, i]: it is formed once (three
+    products) and the two copies multiplied (one more), not formed twice."""
+    alg = make_symbol_xy(3, 7)
+    witness = decompose_norm_one(certify_norm_one(alg.scalar(alg.omega**2)))
+    products = _spied_products(monkeypatch)
+    assert witness.product() == alg.scalar(alg.omega**2)
+    assert len(products) == 4
+
+
+def _spied_conjugations(monkeypatch, e):
+    """Counts the calls sigma(e) of every conjugation built from now on."""
+    applied = []
+    real = sk1.conjugation
+
+    def counted(x0):
+        sigma = real(x0)
+
+        def spy(z):
+            applied.append(z is e)
+            return sigma(z)
+
+        return spy
+
+    monkeypatch.setattr(sk1, "conjugation", counted)
+    return applied
+
+
+def test_decompose_applies_sigma_to_an_element_of_l_once(monkeypatch):
+    """For e in F[i] the order is read off the keys, so sigma(e) is formed
+    once, for the first norm prefix; the orbit walk formed it twice."""
+    alg = make_symbol_xy(3, 7)
+    e = _random_norm_one_in_i_span(alg, random.Random(7))
+    assert all(l == 0 for _, l in e.coeffs)
+    cert = certify_norm_one(e)
+    applied = _spied_conjugations(monkeypatch, e)
+    witness = decompose_norm_one(cert, random.Random(5))
+    assert witness.factors[0][1] is alg.j() and applied.count(True) == 1
+    del applied[:]
+    monkeypatch.setattr(sk1, "_search_monomial_conjugator", orbit_walk_layer)
+    assert decompose_norm_one(cert, random.Random(5)).factors == witness.factors
+    assert applied.count(True) == 2
+
+
+def test_search_forms_no_product_for_commuting_keys(monkeypatch):
+    """e = c i c^-1 i^-1 with c = 1 + 2ij lies in F[ij]: its keys (k, k)
+    commute pairwise, so j is chosen, with order 3, without a product."""
+    alg = make_symbol_xy(3, 7)
+    i, j = alg.i(), alg.j()
+    c = alg.one() + (i * j).scale(alg.tower.constant(2))
+    e = c * i * c.inv() * i.inv()
+    assert sorted(e.coeffs) == [(0, 0), (1, 1), (2, 2)]
+    products = _spied_products(monkeypatch)
+    assert sk1._search_monomial_conjugator(e) == (j, 3)
+    assert products == []
+
+
+def test_search_forms_the_two_products_for_keys_that_do_not_commute(monkeypatch):
+    """e = c j c^-1 j^-1 with c = 1 + i + ij lies in F[i + ij], whose keys
+    do not commute (i and ij); j maps it into itself, which only the two
+    products sigma(e) e and e sigma(e) can tell."""
+    alg = make_symbol_xy(3, 7)
+    i, j = alg.i(), alg.j()
+    c = alg.one() + i + i * j
+    e = c * j * c.inv() * j.inv()
+    products = _spied_products(monkeypatch)
+    assert sk1._search_monomial_conjugator(e) == (j, 3)
+    se = conjugation(j)(e)
+    assert [(x == se, y == se) for x, y in products] == [(True, False), (False, True)]
+    assert products[0][1] is e and products[1][0] is e
+
+
 def test_commutator_witness_verification_catches_corruption():
     alg = make_quaternion_f5()
     good = CommutatorWitness(((alg.i(), alg.j()),), commutator(alg.i(), alg.j()).element)
@@ -629,3 +703,136 @@ def test_kappa_of_monomials_builds_no_splitting_matrix(monkeypatch):
     monkeypatch.setattr(symbol, "_l_charpoly", refuse)
     out = kappa(alg, alg.v_of_i(), alg.v_of_j())
     assert out.element == alg.scalar(alg.tower.constant(alg.omega.inv()))
+
+
+# ---------------------------------------------------------------------------
+# the layer read off the keys against the orbit walk
+
+
+_SWEEP_ALGEBRAS = [
+    ("symbol(n=2, omega=-1, a=2, b=t) over F5((t))", 16),
+    ("symbol(n=2, omega=-1, a=x, b=x+y) over F3((x))((y))", 8),
+    ("symbol(n=3, omega=2, a=x, b=y) over F7((x))((y))", 8),
+    ("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8),
+    ("symbol(n=3, omega=2, a=x, b=x+y) over F7((x))((y))", 10),
+]
+
+
+def sweep_elements(alg, rng, count):
+    """count norm-one elements c x0 c^-1 x0^-1 for monomials x0.
+
+    c spans the powers of a random monomial u, so e lies in F[u], except
+    for one in five, whose c has random keys; two in five have c scaled by
+    the truncated 1/(1 + x + y), so their keys may be uncertified."""
+    n, tower = alg.degree, alg.tower
+    p = tower.base.char
+    dense = tower.one()
+    for v in tower.variables:
+        dense = dense + tower.var(v)
+    dense = dense.inv()
+    made = 0
+    while made < count:
+        u = (rng.randrange(n), rng.randrange(n))
+        x0 = alg.monomial(*rng.choice([(0, 1), (1, 0), (rng.randrange(n), rng.randrange(1, n))]))
+        mixed = rng.random() < 0.2
+        c = alg.zero()
+        for r in range(n):
+            key = (rng.randrange(n), rng.randrange(n)) if mixed else (u[0] * r, u[1] * r)
+            coef = rng.randint(0, p - 1)
+            if coef:
+                exps = tuple(rng.randint(0, 1) for _ in range(tower.height))
+                c = c + alg.monomial(*key, tower.monomial(exps, coef))
+        if rng.random() < 0.4:
+            c = c.scale(dense)
+        try:
+            if c.nrd().indistinguishable_from_zero():
+                continue
+            e = c * x0 * c.inv() * x0.inv()
+        except ValdivError:
+            continue
+        made += 1
+        yield e
+
+
+def decomposition_outcome(e, seed):
+    """("witness", the printed factors), or the error type and message."""
+    try:
+        witness = decompose_norm_one(certify_norm_one(e), random.Random(seed))
+        return "witness", tuple((str(x), str(y)) for x, y in witness.factors)
+    except ValdivError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _layer_or_error(choose, e):
+    try:
+        return choose(e)
+    except DegenerateDecompositionError as exc:
+        return str(exc)
+
+
+def sweep_layers(monkeypatch, algebras, count):
+    """Decompose count seeded elements per algebra twice, reading the layer
+    off the keys and by the orbit walk, and assert that both agree.
+
+    Where every key is certified, the conjugator and its order must be
+    equal; on every element the whole decomposition outcome must be.
+    Returns, per algebra, the set of outcomes and key shapes seen."""
+    seen_by = {}
+    for text, prec in algebras:
+        alg = parse_algebra(text, prec)
+        seen = seen_by[text] = set()
+        for idx, e in enumerate(sweep_elements(alg, random.Random(text), count)):
+            certified = [kl for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()]
+            new = decomposition_outcome(e, idx)
+            with monkeypatch.context() as patch:
+                patch.setattr(sk1, "_search_monomial_conjugator", orbit_walk_layer)
+                old = decomposition_outcome(e, idx)
+            layered = not e.is_scalar() and not e.agrees_to_precision(alg.one())
+            if layered and set(certified) <= {(0, 0)}:
+                # scalar to precision and fixed by every monomial: see below
+                assert new[0] == "DegenerateDecompositionError" and old[0] != "witness"
+                seen.add("scalar to precision")
+            else:
+                assert new == old
+            if len(certified) < len(e.coeffs):
+                seen.add("uncertified keys")
+            elif layered:
+                chosen = _layer_or_error(sk1._search_monomial_conjugator, e)
+                assert chosen == _layer_or_error(orbit_walk_layer, e)
+            if any(sk1._phase(u, v, alg.degree) for u in certified for v in certified):
+                seen.add("non-commuting keys")
+            seen.add(new[0])
+    return seen_by
+
+
+def test_layer_read_off_the_keys_matches_the_orbit_walk(monkeypatch):
+    """Seeded norm-one elements over five algebras, a truncated conjugator
+    (the inverse of j once b = x + y) and mixed, non-commuting keys
+    included: the layer read off the keys gives the orbit walk's outcomes."""
+    seen_by = sweep_layers(monkeypatch, _SWEEP_ALGEBRAS, 20)
+    assert all("witness" in seen for seen in seen_by.values())
+    for text, _ in _SWEEP_ALGEBRAS[3:]:  # the inverse of i, or of j, is truncated
+        assert {"witness", "uncertified keys"} <= seen_by[text]
+    assert "non-commuting keys" in seen_by[_SWEEP_ALGEBRAS[3][0]]
+
+
+def test_an_element_scalar_to_precision_fixed_by_every_monomial_is_degenerate():
+    """e = c j c^-1 j^-1 with c = i^2/(1 + x + y) + O(y^9) equals the scalar
+    omega in every certified coefficient but keeps uncertified i-terms.
+    Every monomial conjugation fixes it, so no layer exists.  The orbit
+    walk took the shortcut x0 = j with order 1 and reported the layer norm,
+    which is e, as a norm failure."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    tower = alg.tower
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    c = alg.monomial(2, 0, dense) + alg.scalar(parse_series("O(y^9)", tower))
+    e = c * alg.j() * c.inv() * alg.j().inv()
+    assert sorted(e.coeffs) == [(0, 0), (1, 0), (2, 0)]
+    assert [kl for kl, v in e.coeffs.items() if not v.indistinguishable_from_zero()] == [(0, 0)]
+    assert e.scalar_part().residue() == alg.omega
+    with pytest.raises(DegenerateDecompositionError, match="recognized conjugation-cyclic layer"):
+        decompose_norm_one(certify_norm_one(e))
+    x0, order = orbit_walk_layer(e)
+    assert x0 is alg.j() and order == 1
+    with pytest.raises(NormCertificateError, match="norm along the cyclic layer"):
+        hilbert90_decompose(e, conjugation(x0), order, None)
