@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 from .errors import (
     CharPolyMismatchError,
@@ -61,7 +61,20 @@ class CommutatorWitness:
         return acc
 
     def verify(self) -> bool:
-        return self.product().agrees_to_precision(self.target)
+        """e y_m x_m = P x_m y_m with P = prod_{k<m} [x_k, y_k], and x_m, y_m
+        certified units by `_certify_unit`: for units that is e = P [x_m, y_m],
+        checked without the inverses of the last factor.  The layer route's
+        witnesses have one factor, so P = 1; the scalar witness repeats
+        [j, i], whose inverses are monomials."""
+        if not self.factors:
+            return self.product().agrees_to_precision(self.target)
+        *head, (x, y) = self.factors
+        _certify_unit(x)
+        _certify_unit(y)
+        right = x * y
+        if head:
+            right = CommutatorWitness(tuple(head), self.target).product() * right
+        return (self.target * y * x).agrees_to_precision(right)
 
     def __len__(self):
         return len(self.factors)
@@ -124,6 +137,33 @@ def commutator(x: AlgebraElement, y: AlgebraElement) -> NormOneElement:
     return certify_norm_one(z)
 
 
+def _certify_unit(x: AlgebraElement) -> None:
+    """Raise unless x is certified a unit; its inverse is not formed.
+
+    A term c i^k j^l with c certified nonzero is a unit, as i and j are.
+    So is a certified nonzero x whose keys, uncertified ones included, all
+    lie in the cyclic group <g> of one of its keys g = (k, l), when
+    v(g) = k v(i) + l v(j) has order n in Q^h / Z^h: g^n lies in F, so
+    F[g] = F(g) has ramification index n and is a field of degree n, and
+    every lift of x is a nonzero element of it (Serre, Local Fields,
+    ch. I-II).  Otherwise, or when v(a) or v(b) is undecided, Nrd(x) must
+    be certified nonzero, with the errors of `AlgebraElement.inv`.
+    """
+    alg, n = x.algebra, x.algebra.degree
+    if not x.indistinguishable_from_zero():
+        if len(x.coeffs) == 1:
+            return
+        try:
+            vi, vj = alg.v_of_i(), alg.v_of_j()
+        except PrecisionExhaustedError:
+            vi = vj = ()  # every order below is then 1, and n > 1
+        for k, l in x.coeffs:
+            order = lcm(*((k * u + l * w).denominator for u, w in zip(vi, vj)))
+            if order == n and x.coeffs.keys() <= {(m * k % n, m * l % n) for m in range(n)}:
+                return
+    x.unit_prd()
+
+
 def kappa(algebra: SymbolAlgebra, gamma, delta) -> NormOneElement:
     """Commutator of monomial representatives of two values.
 
@@ -151,7 +191,10 @@ def hilbert90_decompose(a, sigma, order: int, sample):
     sigma is any callable realizing the generator of the action (a field
     automorphism, or conjugation inside an algebra); sample(k) draws the
     randomizer for retry k.  The resolvent c = sum_r (prod_{s<r} sigma^s(a))
-    sigma^r(b) satisfies a * sigma(c) = c whenever the norm is 1 and c != 0.
+    sigma^r(b) satisfies a * sigma(c) = c whenever the norm is 1, and that is
+    a = c sigma(c)^-1 only when c is a unit, not just nonzero: inside an
+    algebra a nonzero c can be a zero divisor.  The returned c is checked to
+    be nonzero; `CommutatorWitness.verify` certifies it a unit.
     The partial products of the norm, prefixes[r] = a sigma(a) ... sigma^r(a),
     are formed once and serve every attempt.
     """
@@ -228,8 +271,9 @@ def skolem_noether_conjugator(
 
     Requires equal reduced characteristic polynomials.  The nullspace of
     z -> z k - target z is computed over the tower field and random integer
-    combinations are drawn until one is invertible; the result is verified by
-    multiplication before being returned.
+    combinations are drawn until one has a certified nonzero reduced norm,
+    so is a unit; it is returned once x k = target x holds to precision,
+    which for a unit is x k x^-1 = target, checked without its inverse.
     """
     alg = k_elem.algebra
     if target.algebra != alg:
@@ -276,7 +320,7 @@ def skolem_noether_conjugator(
             continue
         if nr.indistinguishable_from_zero():
             continue
-        if (cand * k_elem * cand.inv()).agrees_to_precision(target):
+        if (cand * k_elem).agrees_to_precision(target * cand):
             return cand
     raise ConjugatorSearchError(f"no invertible conjugator in {RETRIES} retries")
 
@@ -351,8 +395,8 @@ def decompose_norm_one(
     elements moved by conjugation by a monomial x0 (j, i, then i^k j^l) into
     an element they commute with, where that conjugation realizes the Galois
     action of the cyclic layer and a Hilbert-90 resolvent produces the single
-    commutator [c, x0].  Everything returned has been re-multiplied and
-    checked.
+    commutator [c, x0].  Everything returned has passed
+    `CommutatorWitness.verify`.
     """
     rng = rng or random.Random(0)
     e = cert.element

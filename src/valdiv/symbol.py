@@ -455,6 +455,17 @@ class AlgebraElement:
             high.append(s.scale(-tower.base.element(k).inv()))
         return high[::-1]
 
+    def unit_prd(self) -> list[TowerElement]:
+        """`prd` of a unit: its constant term, (-1)^n Nrd, must be certified
+        nonzero, else NotInvertibleError (exactly zero) or
+        PrecisionExhaustedError (zero to precision)."""
+        poly = self.prd()
+        if poly[0].indistinguishable_from_zero():
+            if poly[0].is_zero():
+                raise NotInvertibleError("reduced norm is zero; not a unit")
+            raise PrecisionExhaustedError("reduced norm is undecided at precision")
+        return poly
+
     def inv(self) -> "AlgebraElement":
         """Inverse via the reduced characteristic polynomial.
 
@@ -465,13 +476,8 @@ class AlgebraElement:
         if self._inv is not None:
             return self._inv
         alg = self.algebra
-        poly = self.prd()
-        c0 = poly[0]
-        if c0.indistinguishable_from_zero():
-            if c0.is_zero():
-                raise NotInvertibleError("reduced norm is zero; not a unit")
-            raise PrecisionExhaustedError("reduced norm is undecided at precision")
-        c0_inv = c0.inv()
+        poly = self.unit_prd()
+        c0_inv = poly[0].inv()
         powers = self._powers or [alg.one(), self]  # 1, x, ..., x^m from the trace route
         self._powers = None
         while len(powers) < alg.degree:

@@ -677,3 +677,25 @@ def orbit_walk_layer(e):
         if equalish(cur, e):
             return x0, order
     raise DegenerateDecompositionError("conjugation does not close on the layer")
+
+
+# ---------------------------------------------------------------------------
+# commutator witnesses and conjugators, re-multiplied with their inverses
+
+
+def commutator_product_check(witness):
+    """prod x y x^-1 y^-1 over the witness factors, formed with the inverses
+    and compared with the target to precision: the reference for
+    `sk1.CommutatorWitness.verify`, which moves its last factor across
+    instead.  Raises what `AlgebraElement.inv` raises for a non-unit."""
+    target = witness.target
+    acc = target.algebra.one()
+    for x, y in witness.factors:
+        acc = acc * (x * y * x.inv() * y.inv())
+    return acc.agrees_to_precision(target)
+
+
+def conjugator_check(x, k, target):
+    """x k x^-1 equal to target to precision, with the inverse of x: the
+    reference for the last check of `sk1.skolem_noether_conjugator`."""
+    return (x * k * x.inv()).agrees_to_precision(target)

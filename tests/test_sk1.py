@@ -7,8 +7,11 @@ import pytest
 from valdiv import sk1, symbol
 from valdiv.errors import (
     CharPolyMismatchError,
+    ConjugatorSearchError,
     DegenerateDecompositionError,
     NormCertificateError,
+    NotInvertibleError,
+    PrecisionExhaustedError,
     ValdivError,
 )
 from valdiv.fields import (
@@ -37,7 +40,12 @@ from valdiv.sk1 import (
 )
 from valdiv.symbol import AlgebraElement
 
-from oracles import orbit_walk_layer, series_plain
+from oracles import (
+    commutator_product_check,
+    conjugator_check,
+    orbit_walk_layer,
+    series_plain,
+)
 
 from conftest import (
     make_quaternion_f5,
@@ -618,7 +626,9 @@ def test_verdict_never_trivial_on_boundary_regression():
 def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
     """The algebra keeps one i and one j, so the reduced characteristic
     polynomial of j, which the random norm-one element and its decomposition
-    both need, is computed once and then read from j's cache."""
+    both need, is computed once and then read from j's cache.  The others
+    are those of the random c and of e; the resolvent is certified a unit
+    without its norm."""
     alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
     assert alg.i() is alg.i() and alg.j() is alg.j()
     computed, real = [], AlgebraElement.prd
@@ -630,7 +640,7 @@ def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "prd", spy)
     sk1_witness_batch(alg, count=1, seed=0)
-    assert len(computed) == 4
+    assert len(computed) == 3
     assert computed.count({(0, 1)}) == 1
 
 
@@ -836,3 +846,185 @@ def test_an_element_scalar_to_precision_fixed_by_every_monomial_is_degenerate():
     assert x0 is alg.j() and order == 1
     with pytest.raises(NormCertificateError, match="norm along the cyclic layer"):
         hilbert90_decompose(e, conjugation(x0), order, None)
+
+
+# ---------------------------------------------------------------------------
+# verification without inverses: the unit certificate and the product oracle
+
+
+def _spied_norm_fallback(monkeypatch):
+    """The elements whose unit certificate falls back to the reduced norm."""
+    calls, real = [], AlgebraElement.unit_prd
+
+    def spy(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(AlgebraElement, "unit_prd", spy)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))",
+        "symbol(n=4, omega=2, a=x, b=y) over F5((x))((y))",
+    ],
+)
+def test_unit_certificate_accepts_f_of_i_without_a_norm(monkeypatch, text):
+    """v(i) = v(a)/n has order n, so F[i] is a field of degree n: a certified
+    nonzero element of it is a unit, an uncertified key included, and no
+    reduced norm is formed.  So is a single term with a truncated coefficient."""
+    alg = parse_algebra(text, 8)
+    tower, n = alg.tower, alg.degree
+    assert [v.denominator for v in alg.v_of_i()] == [1, n]
+    dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
+    exact = sum((alg.monomial(k, 0, tower.constant(k + 1)) for k in range(n)), alg.zero())
+    truncated = alg.one() + alg.monomial(1, 0, dense) + alg.monomial(n - 1, 0, parse_series("O(y^2)", tower))
+    assert truncated.coeffs[(n - 1, 0)].indistinguishable_from_zero()
+
+    def refuse(self):
+        raise AssertionError("reduced characteristic polynomial formed")
+
+    monkeypatch.setattr(AlgebraElement, "prd", refuse)
+    for x in (exact, truncated, alg.monomial(2, 1, dense)):
+        sk1._certify_unit(x)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        # b = 1: v(j) = 0, and F[j] = F[t]/(t^3 - 1) has zero divisors
+        ("symbol(n=3, omega=2, a=x, b=1) over F7((x))", (0, 1)),
+        # v(i^2) = v(x)/2 has order 2, not 4
+        ("symbol(n=4, omega=2, a=x, b=y) over F5((x))((y))", (2, 0)),
+    ],
+)
+def test_unit_certificate_falls_back_to_the_norm_outside_a_field(monkeypatch, text, key):
+    alg = parse_algebra(text, 8)
+    x = alg.scalar(2) + alg.monomial(*key)
+    calls = _spied_norm_fallback(monkeypatch)
+    sk1._certify_unit(x)
+    assert calls == [x]
+
+
+@pytest.mark.parametrize(
+    "constant, error, message",
+    [
+        ("-1", NotInvertibleError, "reduced norm is zero; not a unit"),
+        ("-1 + O(x^3)", PrecisionExhaustedError, "reduced norm is undecided at precision"),
+    ],
+)
+def test_unit_certificate_refuses_a_zero_divisor_as_inv_does(constant, error, message):
+    """j - 1 in (x, 1) has reduced norm 1 - b = 0; with a truncated constant
+    the norm is zero to precision.  The certificate, and verify through it,
+    raise inv's error with inv's message."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x, b=1) over F7((x))", 8)
+
+    def zero_divisor():  # a new element each time, with nothing cached
+        return alg.j() + alg.scalar(parse_series(constant, alg.tower))
+
+    raised = []
+    for check in (
+        lambda: zero_divisor().inv(),
+        lambda: sk1._certify_unit(zero_divisor()),
+        lambda: CommutatorWitness(((zero_divisor(), alg.i()),), alg.one()).verify(),
+    ):
+        with pytest.raises(error) as info:
+            check()
+        raised.append(str(info.value))
+    assert raised == [message] * 3
+
+
+def test_decomposition_forms_no_norm_of_the_resolvent(monkeypatch):
+    """The resolvent c lies in F[i], a field, so verify certifies it a unit
+    without its reduced characteristic polynomial."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    e = _random_norm_one_in_i_span(alg, random.Random(11))
+    cert = certify_norm_one(e)
+    resolvents, computed = [], []
+    real_h90, real_prd = sk1.hilbert90_decompose, AlgebraElement.prd
+
+    def h90(*args):
+        resolvents.append(real_h90(*args))
+        return resolvents[-1]
+
+    def prd(self):
+        if self._prd is None:
+            computed.append(self)
+        return real_prd(self)
+
+    monkeypatch.setattr(sk1, "hilbert90_decompose", h90)
+    monkeypatch.setattr(AlgebraElement, "prd", prd)
+    witness = decompose_norm_one(cert, random.Random(5))
+    (c,) = resolvents
+    assert witness.factors[0][0] is c
+    assert not all(v.is_exact() for v in c.coeffs.values())
+    assert all(x is not c for x in computed)
+
+
+def _oracle_refuses(witness) -> bool:
+    try:
+        return not commutator_product_check(witness)
+    except PrecisionExhaustedError:
+        return True
+
+
+def test_verify_agrees_with_the_product_oracle_and_refuses_mutants():
+    """Seeded layer-route witnesses over the sweep algebras pass verify and,
+    where the oracle's inverse of the resolvent is decided, the oracle too.
+    A wrong factor, swapped factors and a perturbed target fail both."""
+    checked, decided = 0, 0
+    for text, prec in _SWEEP_ALGEBRAS:
+        alg = parse_algebra(text, prec)
+        bump = alg.scalar(alg.tower.var(alg.tower.variables[0]))
+        for idx, e in enumerate(sweep_elements(alg, random.Random(text), 14)):
+            try:
+                witness = decompose_norm_one(certify_norm_one(e), random.Random(idx))
+            except ValdivError:
+                continue
+            if len(witness) != 1 or e.is_scalar():  # at n = 2, [i, j] = [j, i]
+                continue
+            ((x, y),) = witness.factors
+            assert witness.verify()
+            try:
+                assert commutator_product_check(witness)
+                decided += 1
+            except PrecisionExhaustedError:
+                pass
+            for factors, target in (((x + alg.one(), y), e), ((y, x), e), ((x, y), e + bump)):
+                mutant = CommutatorWitness((factors,), target)
+                assert not mutant.verify()
+                assert _oracle_refuses(mutant)
+            checked += 1
+    assert checked >= 30 and decided >= 25  # 35 and 31 when written
+
+
+def test_verify_of_a_repeated_commutator_refuses_a_wrong_count():
+    """The witness of omega^2 repeats [j, i]; as a witness of omega it fails
+    verify and the oracle alike."""
+    alg = make_symbol_xy(3, 7)
+    witness = decompose_norm_one(certify_norm_one(alg.scalar(alg.omega**2)))
+    assert witness.verify() and commutator_product_check(witness)
+    mutant = CommutatorWitness(witness.factors, alg.scalar(alg.omega))
+    assert not mutant.verify() and not commutator_product_check(mutant)
+
+
+def test_skolem_noether_refuses_a_candidate_that_is_not_a_conjugator(monkeypatch):
+    """j i j^-1 = omega i.  With the nullspace replaced by the coordinates of
+    1 + i, which commutes with i, every candidate is a unit and is refused,
+    as the oracle with the inverse refuses it; the true nullspace gives a
+    conjugator that the oracle accepts."""
+    alg = make_symbol_xy(3, 7)
+    i = alg.i()
+    target = i.scale(alg.omega)
+    found = skolem_noether_conjugator(i, target, random.Random(2))
+    assert conjugator_check(found, i, target)
+    wrong = alg.one() + i
+    assert not conjugator_check(wrong, i, target)
+    basis = [(k, l) for k in range(3) for l in range(3)]
+    monkeypatch.setattr(
+        sk1, "_nullspace", lambda _alg, _mat: [[wrong.coeffs.get(b, alg.tower.zero()) for b in basis]]
+    )
+    with pytest.raises(ConjugatorSearchError, match="no invertible conjugator"):
+        skolem_noether_conjugator(i, target, random.Random(2))
