@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 from math import inf
+from typing import NamedTuple
 
 from .errors import (
     DescriptorMismatchError,
@@ -37,14 +38,30 @@ from .fields import (
 
 DEFAULT_PRECISION = 32
 
-# A product of untwisted series over a prime field takes the Kronecker path
-# when the outer term counts of its operands make at least
-# KRONECKER_MIN_PAIRS pairs and the packed product has at most
-# KRONECKER_SLOTS_PER_PAIR slots per pair of field terms; below either the
-# pair loop of _mul_into is faster.  Both were measured on the products of
-# the benchmark workloads (see CHANGES.md).
+# A product of series in a ring that packs (SeriesRing.packing: untwisted
+# over F_p or F_p[w]/(f)) takes the Kronecker path when the outer term counts
+# of its operands make at least KRONECKER_MIN_PAIRS pairs and the packed
+# product has at most KRONECKER_SLOTS_PER_PAIR exponent vectors per pair of
+# field terms; below either the pair loop of _mul_into is faster.  Both were
+# measured on the products of the benchmark workloads, over F_p and over
+# F_7[w]/(w^3 - 2) (see CHANGES.md).
 KRONECKER_MIN_PAIRS = 36
 KRONECKER_SLOTS_PER_PAIR = 8
+
+
+class Packing(NamedTuple):
+    """How the field terms of a ring's series pack into one integer.
+
+    A coefficient of F_p[w]/(f), f of degree d, has d coordinates; each
+    exponent vector gets u = 2d - 1 slots, which hold every coordinate of a
+    product of two coefficients before `field` folds the top d - 1 of them
+    with f.  F_p is the case d = u = 1.
+    """
+
+    p: int
+    d: int
+    u: int
+    field: Field
 
 
 class _InfiniteValuation:
@@ -95,15 +112,20 @@ class SeriesRing:
         self.default_prec = default_prec
         self.sigma = sigma
         self.sigma_order = 1 if sigma is None else sigma.order
-        # packed_prime is p when every level down to the field is untwisted
-        # and the field is F_p: the rings whose products Kronecker-pack.
+        # packing (a Packing) is set when every level down to the field is
+        # untwisted and the field is F_p or an extension F_p[w]/(f) of it:
+        # the rings whose products Kronecker-pack.
         if isinstance(coeff_ring, SeriesRing):
             self.height = coeff_ring.height + 1
-            packed = coeff_ring.packed_prime
+            packing = coeff_ring.packing
         else:
             self.height = 1
-            packed = coeff_ring.p if isinstance(coeff_ring, PrimeField) else None
-        self.packed_prime = packed if sigma is None else None
+            prime = getattr(coeff_ring, "base", coeff_ring)
+            d = getattr(coeff_ring, "degree", 1)
+            packing = None
+            if isinstance(prime, PrimeField):
+                packing = Packing(prime.p, d, 2 * d - 1, coeff_ring)
+        self.packing = packing if sigma is None else None
         self.series_class = LaurentSeries if sigma is None else TwistedSeries
 
     def __eq__(self, other):
@@ -408,11 +430,11 @@ def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
     by the pair loop.  An exact zero factor adds nothing, not even a bound."""
     if a.is_zero() or b.is_zero():
         return
-    p = a.ring.packed_prime
+    packing = a.ring.packing
     if (
-        p is None
+        packing is None
         or len(a.coeffs) * len(b.coeffs) < KRONECKER_MIN_PAIRS
-        or not _kronecker_mul_into(acc, a, b, p)
+        or not _kronecker_mul_into(acc, a, b, packing)
     ):
         _mul_into(acc, a, b)
 
@@ -520,7 +542,7 @@ _NATIVE_SLOTS = (
 
 
 def _slot_width(p: int, terms: int) -> int:
-    """Bytes per slot holding a sum of `terms` products of representatives
+    """Bytes per slot holding a sum of `terms` products of coordinates
     0..p-1: the least of 1, 2, 4 and 8 that holds (p-1)^2 * terms, or past
     8 bytes the least byte count that does."""
     width = (((p - 1) ** 2 * terms).bit_length() + 7) // 8
@@ -600,11 +622,19 @@ def _window_into(out: dict, bound, a_kids: list, b_kids: list) -> None:
 
 
 def _pack(s: LaurentSeries, level: int, base: int, lows: list, strides: list, slots: list):
-    """Put the representatives of s at base + sum_k (e_k - lows[k]) * strides[k]."""
+    """Put the representatives of s at base + sum_k (e_k - lows[k]) * strides[k],
+    the d coordinates of one coefficient of F_p[w]/(f) in d slots in a row;
+    strides[0] is the Packing's u, which leaves the u - d slots after them
+    free."""
     low, stride = lows[level], strides[level]
     if not level:
+        if isinstance(s.ring.coeff_ring, PrimeField):  # one coordinate, u = 1
+            for e, c in s.coeffs.items():
+                slots[base + e - low] = c.rep
+            return
         for e, c in s.coeffs.items():
-            slots[base + e - low] = c.rep
+            for at, x in enumerate(c.rep, base + (e - low) * stride):
+                slots[at] = x
         return
     for e, c in s.coeffs.items():
         _pack(c, level - 1, base + (e - low) * stride, lows, strides, slots)
@@ -618,7 +648,7 @@ def _packed(s: LaurentSeries, strides: list, width: int) -> int:
     if last is not None and last[0] == width and last[1] == strides:
         return last[2]
     _, _, lows, highs = s._shape
-    count = 1 + sum((h - l) * k for l, h, k in zip(lows, highs, strides))
+    count = strides[0] + sum((h - l) * k for l, h, k in zip(lows, highs, strides))
     code = _NATIVE_SLOTS.get(width)
     data = bytearray(count * width)
     slots = memoryview(data).cast(code) if code else [0] * count
@@ -630,67 +660,80 @@ def _packed(s: LaurentSeries, strides: list, width: int) -> int:
     return packed
 
 
-def _unpack_into(acc, level, base, lows, highs, strides, data, width, p) -> None:
+def _unpack_into(acc, level, base, lows, highs, strides, data, width, packing) -> None:
     """Fill the level-0 accumulators under acc from the product's slots.
 
     The windows are already set.  Only the nodes inside their parents'
     windows are visited, and only the slots below each level-0 bound are
-    read; a slot's sum mod p is added into the representative already there.
-    acc may hold earlier products, so only its nodes inside this product's
-    exponent range [lows[k], highs[k]] have slots.
+    read: u slots per exponent, folded by the Packing's field into one
+    representative (over F_p the one slot mod p), which is added into the
+    representative already there.  acc may hold earlier products, of either
+    path, so only its nodes inside this product's exponent range
+    [lows[k], highs[k]] have slots.
     """
     coeffs, bound = acc
     low, high = lows[level], highs[level]
     if not level:
         stop = high + 1 if bound is None or bound > high else bound
         if stop > low:
-            for e, v in enumerate(_read_slots(data, base, base + stop - low, width), low):
-                v %= p
-                if v:
-                    coeffs[e] = (coeffs[e] + v) % p if e in coeffs else v
+            p, _, u, field = packing
+            slots = _read_slots(data, base, base + (stop - low) * u, width)
+            if isinstance(field, PrimeField):  # one slot per exponent, u = 1
+                for e, v in enumerate(slots, low):
+                    v %= p
+                    if v:
+                        coeffs[e] = (coeffs[e] + v) % p if e in coeffs else v
+                return
+            fold, add, zero = field._reduce, field._add, field._zero_rep
+            for e, at in zip(range(low, stop), range(0, len(slots), u)):
+                r = fold(slots[at : at + u])
+                if r != zero:
+                    coeffs[e] = add(coeffs[e], r) if e in coeffs else r
         return
     stride = strides[level]
     for e, child in coeffs.items():
         if low <= e <= high and (bound is None or e < bound):
             _unpack_into(
-                child, level - 1, base + (e - low) * stride, lows, highs, strides, data, width, p
+                child, level - 1, base + (e - low) * stride,
+                lows, highs, strides, data, width, packing,
             )
 
 
-def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, p: int) -> bool:
+def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, packing: Packing) -> bool:
     """Add a*b into acc by Kronecker substitution, or return False and leave
     acc alone when the operands are too sparse for it.  Operands of which
     one has no field term add their windows alone.
 
-    The ring is untwisted at every level over F_p.  A field term whose
-    exponents are e_k at level k (0 innermost) goes to slot
-    sum_k (e_k - lo_k) * stride_k of one integer.  There lo_k is the
-    operand's least exponent at level k and stride_k the product's extent
-    below level k.  Each slot holds (p-1)^2 times the smaller term count, so
-    one integer product sums every pair of terms into the slot of its
-    exponents, with no carry between slots.  The windows come first, by the
-    rule _mul_into uses (_product_bound), from the survey of each operand,
-    which like its packing is made once per series.
+    The ring is untwisted at every level over F_p or F_p[w]/(f), as packing
+    describes.  Coordinate j of a field term whose exponents are e_k at
+    level k (0 innermost) goes to slot j + sum_k (e_k - lo_k) * stride_k of
+    one integer.  There lo_k is the operand's least exponent at level k,
+    stride_0 is u = 2d - 1 and stride_(k+1) is stride_k times the product's
+    extent at level k.  Each slot holds (p-1)^2 * d times the smaller term
+    count, so one integer product sums every pair of coordinates into the
+    slot of their exponents and degree, with no carry between slots.  The
+    windows come first, by the rule _mul_into uses (_product_bound), from the
+    survey of each operand, which like its packing is made once per series.
     """
     sa, na, a_lows, a_highs = a._shape or _survey(a)
     sb, nb, b_lows, b_highs = b._shape or _survey(b)
     if na and nb:
         lows = [x + y for x, y in zip(a_lows, b_lows)]
         highs = [x + y for x, y in zip(a_highs, b_highs)]
-        strides = [1]
+        strides = [packing.u]
         for low, high in zip(lows, highs):
             strides.append(strides[-1] * (high - low + 1))
         size = strides.pop()
-        if size > KRONECKER_SLOTS_PER_PAIR * na * nb:
+        if size > KRONECKER_SLOTS_PER_PAIR * packing.u * na * nb:
             return False
     acc[1] = _product_bound(acc[1], *sa[:2], *sb[:2])
     if sa[2] and sb[2]:
         _window_into(acc[0], acc[1], sa[2], sb[2])
     if na and nb:
-        width = _slot_width(p, min(na, nb))
+        width = _slot_width(packing.p, packing.d * min(na, nb))
         product = _packed(a, strides, width) * _packed(b, strides, width)
         data = memoryview(product.to_bytes(size * width, "little"))
-        _unpack_into(acc, len(lows) - 1, 0, lows, highs, strides, data, width, p)
+        _unpack_into(acc, len(lows) - 1, 0, lows, highs, strides, data, width, packing)
     return True
 
 

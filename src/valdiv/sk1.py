@@ -390,8 +390,9 @@ def decompose_norm_one(
 ) -> CommutatorWitness:
     """Write a certified norm-one element as a product of commutators.
 
-    Supported regimes: the identity; central scalars that are powers of the
-    root of unity (their witness is the generator commutator repeated); and
+    Supported regimes: the identity; elements equal in every certified
+    coefficient to a power of the root of unity, uncertified terms at other
+    keys allowed (their witness is the generator commutator repeated); and
     elements moved by conjugation by a monomial x0 (j, i, then i^k j^l) into
     an element they commute with, where that conjugation realizes the Galois
     action of the cyclic layer and a Hilbert-90 resolvent produces the single
@@ -405,13 +406,14 @@ def decompose_norm_one(
     if _equalish(e, alg.one()):
         return CommutatorWitness((), e)
 
-    if e.is_scalar():
+    if all(kl == (0, 0) for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()):
         witness = _scalar_witness(e, alg)
         if witness is not None:
             return witness
-        raise DegenerateDecompositionError(
-            "central norm-one scalar outside the root-of-unity image"
-        )
+        if e.is_scalar():
+            raise DegenerateDecompositionError(
+                "central norm-one scalar outside the root-of-unity image"
+            )
 
     conj_by, order = _search_monomial_conjugator(e)
     sigma = conjugation(conj_by)

@@ -18,6 +18,7 @@ from valdiv.fields import (
     ExtensionField,
     FieldAutomorphism,
     FieldElement,
+    IrreducibilityWarning,
     PrimeField,
     frobenius,
     is_square,
@@ -547,9 +548,19 @@ def _grid(ring, rng, counts, low=0, spread=1, truncate=False, empty=0.0):
             else:
                 coeffs[e] = _grid(inner, rng, counts[1:], low, spread, truncate, empty)
         else:
-            coeffs[e] = inner.element(rng.randrange(1, inner.p))
+            coeffs[e] = _nonzero_coefficient(inner, rng)
     bound = low + counts[0] * spread + rng.randrange(3) if truncate else None
     return ring.series(coeffs, bound)
+
+
+def _nonzero_coefficient(field, rng):
+    """A random nonzero element of F_p, or of an extension of F_p."""
+    if isinstance(field, PrimeField):
+        return field.element(rng.randrange(1, field.p))
+    while True:
+        c = _random_coefficient(field, rng)
+        if not c.is_zero():
+            return c
 
 
 def _terms_outside_windows(acc, level, inside=True):
@@ -611,12 +622,22 @@ def _outer_counts(pairs):
     return m, pairs // m
 
 
-@pytest.mark.parametrize("height", [1, 2, 3])
-@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
-def test_kronecker_gate_on_outer_term_pairs(monkeypatch, height, truncate):
+def _gate_cases():
+    """(field, height, truncate) for the gate tests: F7 under the ids
+    "exact-1" ... "truncated-3", F7[w]/(w^3 - 2) under "F7[w]-exact-1" ..."""
+    return [
+        pytest.param(field, height, truncate, id=f"{prefix}{trunc_id}-{height}")
+        for field, prefix in ((F7, ""), (F343, "F7[w]-"))
+        for truncate, trunc_id in ((False, "exact"), (True, "truncated"))
+        for height in (1, 2, 3)
+    ]
+
+
+@pytest.mark.parametrize("field, height, truncate", _gate_cases())
+def test_kronecker_gate_on_outer_term_pairs(monkeypatch, field, height, truncate):
     """Dense operands on both sides of the O(1) gate take the path it picks."""
     rng = random.Random(f"outer/{height}/{truncate}")
-    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
     inner = [3] * (height - 1)
     for pairs, kronecker in [
         (laurent.KRONECKER_MIN_PAIRS - 1, False),
@@ -628,13 +649,12 @@ def test_kronecker_gate_on_outer_term_pairs(monkeypatch, height, truncate):
         assert _checked_product(monkeypatch, a, b) is kronecker
 
 
-@pytest.mark.parametrize("height", [1, 2, 3])
-@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
-def test_kronecker_gate_on_density(monkeypatch, height, truncate):
+@pytest.mark.parametrize("field, height, truncate", _gate_cases())
+def test_kronecker_gate_on_density(monkeypatch, field, height, truncate):
     """Operands past the O(1) gate go the Kronecker way when dense and to the
     pair loop when their exponents spread too far for their term pairs."""
     rng = random.Random(f"density/{height}/{truncate}")
-    ring = Tower(F7, ["x", "y", "z"][:height]).top_ring()
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
     n = 6
     assert n * n >= laurent.KRONECKER_MIN_PAIRS
     for spread, inner, kronecker in [(1, n, True), (2, n, True), (40, 2, False)]:
@@ -711,6 +731,138 @@ def test_kronecker_windows_with_empty_children(monkeypatch, height):
         assert _checked_product(monkeypatch, exact, a)
         assert _checked_product(monkeypatch, a, exact)
         assert _checked_product(monkeypatch, a, a)
+
+
+# --- Kronecker products over extension-field bases ----------------------------
+
+F25 = ExtensionField(F5, [-2, 0, 1], var="w")  # 2 is not a square mod 5
+F27 = ExtensionField(F3, [-1, -1, 0, 1], var="w")  # w^3 - w - 1 has no root in F3
+F7_DEGREE_1 = ExtensionField(F7, [-3, 1], var="w")  # w = 3, tuple representatives
+PACKED_EXTENSIONS = [F343, F9, F25, F27, F7_DEGREE_1]
+PACKED_IDS = ["F7[w]", "F9", "F25", "F27", "F7[w]/(w-3)"]
+
+
+@pytest.mark.parametrize("field", PACKED_EXTENSIONS, ids=PACKED_IDS)
+@pytest.mark.parametrize("height", [1, 2, 3])
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+def test_packed_extension_products_match_the_naive_pair_loop(monkeypatch, field, height, truncate):
+    """Over F_p[w]/(f) the ring packs d coordinates in 2d - 1 slots per
+    exponent vector, and every product, with empty truncated children and
+    both orders, equals the naive pair loop at every coefficient and bound."""
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
+    d = field.degree
+    assert ring.packing == laurent.Packing(field.base.p, d, 2 * d - 1, field)
+    rng = random.Random(f"packed/{field}/{height}/{truncate}")
+    counts = [7] + [3] * (height - 1)
+    for _ in range(3):
+        a = _grid(ring, rng, counts, low=-2, truncate=truncate, empty=0.2 if truncate else 0.0)
+        b = _grid(ring, rng, counts, low=rng.randint(-1, 2), truncate=truncate)
+        assert _checked_product(monkeypatch, a, b)
+        assert _checked_product(monkeypatch, b, a)
+        assert _checked_product(monkeypatch, a, a)
+
+
+@pytest.mark.parametrize("field", PACKED_EXTENSIONS[:4], ids=PACKED_IDS[:4])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_packed_slot_sums_divisible_by_p_in_some_coordinates(monkeypatch, field, height):
+    """Sums over sign patterns, as over F7: at x^1 under outer exponents 0
+    the coordinates of sign +-1 sum to (p - 1) + 1 = p in their slot.  With
+    one such coordinate the coefficient keeps the others, also when that
+    slot is w^(2d-2), which the reduction row folds; with every coordinate
+    signed no term is left."""
+    ring = Tower(field, ["x", "y", "z"][:height]).top_ring()
+    n, d, w = 6, field.degree, field.generator()
+
+    def alternating(r, sign, coefficient):
+        inner = r.coeff_ring
+        if isinstance(inner, SeriesRing):
+            return r.series({e: alternating(inner, sign * (-1) ** e, coefficient) for e in range(n)})
+        return r.series({e: coefficient(sign * (-1) ** e) for e in range(n)})
+
+    def node_at_x1(s):
+        node = series_plain(s)
+        for _ in range(height - 1):
+            node = node[0][0]
+        return node[0]
+
+    top = w ** (d - 1)
+    ones, tops = (alternating(ring, 1, lambda sign: c) for c in (field.one(), top))
+    for left, coefficient, want in [
+        (ones, lambda sign: field.element(sign) + w, 2 * w),
+        (tops, lambda sign: field.element(sign) * top + field.one(), 2 * top),
+        (tops, lambda sign: field.element(sign) * (field.one() + w), None),
+    ]:
+        right = alternating(ring, 1, coefficient)
+        assert _checked_product(monkeypatch, left, right)
+        assert node_at_x1(left * right).get(1) == want
+
+
+@pytest.mark.parametrize("truncate", [False, True], ids=["exact", "truncated"])
+@pytest.mark.parametrize("height", [1, 2])
+def test_product_sum_mixes_packed_and_pair_loop_products(monkeypatch, height, truncate):
+    """A ProductSum over F7[w]/(w^3 - 2) that adds pair-loop products (below
+    KRONECKER_MIN_PAIRS) and packed ones, in turn, into one accumulator: the
+    packed products fold into tuples the pair loop left there."""
+    rng = random.Random(f"mixed/{height}/{truncate}")
+    ring = Tower(F343, ["x", "y"][:height]).top_ring()
+    inner = [3] * (height - 1)
+    dense = [_grid(ring, rng, [6] + inner, low=-1, truncate=truncate) for _ in range(4)]
+    sparse = [_grid(ring, rng, [2] + inner, low=0, truncate=truncate) for _ in range(4)]
+    pairs = [(sparse[0], sparse[1]), (dense[0], dense[1]), (sparse[2], dense[2]), (dense[3], sparse[3])]
+    pairs += [(dense[1], dense[0])]
+    want = naive_series_product(*pairs[0])
+    for a, b in pairs[1:]:
+        want = _naive_sum(want, naive_series_product(a, b))
+    paths = []
+    real_kronecker, real_loop = laurent._kronecker_mul_into, laurent._mul_into
+    total = laurent.ProductSum(ring)
+
+    def kronecker(acc, *args):
+        took = real_kronecker(acc, *args)
+        paths.append("packed" if took else "declined")
+        return took
+
+    def loop(acc, *args):
+        if acc is total.acc:  # not the recursion into children
+            paths.append("loop")
+        return real_loop(acc, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(laurent, "_kronecker_mul_into", kronecker)
+        patch.setattr(laurent, "_mul_into", loop)
+        for a, b in pairs:
+            total.add(a, b)
+    assert paths == ["loop", "packed", "loop", "loop", "packed"]
+    assert series_plain(total.result()) == want
+    assert series_invariant_breaches(total.result()) == []
+
+
+F81 = ExtensionField(F9, [F9.element([-1, -1]), 0, 1], var="v")  # v^2 = 1 + w, a non-square of F9
+
+
+def test_rings_that_do_not_pack_keep_the_pair_loop(monkeypatch):
+    """Dense products past both gates over a depth-2 field, over Q[w] and in
+    the twisted F9((t, frobenius)) never reach the Kronecker path."""
+    with pytest.warns(IrreducibilityWarning):
+        qw = ExtensionField(QQ, [-2, 0, 1], var="w")
+    rings = [SeriesRing(F81, "t"), SeriesRing(qw, "t"), twisted_ring()]
+    tried = []
+    monkeypatch.setattr(laurent, "_kronecker_mul_into", lambda *args: tried.append(args))
+    for ring in rings:
+        assert ring.packing is None
+        field = ring.coeff_ring
+        a, b = (
+            ring.series({e: field.generator() + field.element(e % 3 + k) for e in range(8)})
+            for k in (1, 2)
+        )
+        seen = []
+        real = laurent._mul_into
+        with monkeypatch.context() as patch:
+            patch.setattr(laurent, "_mul_into", lambda *args: seen.append(1) or real(*args))
+            product = a * b
+        assert seen == [1]
+        assert series_plain(product) == naive_series_product(a, b)
+    assert tried == []
 
 
 # --- sums of products in one accumulator ---------------------------------------

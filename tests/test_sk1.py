@@ -798,12 +798,12 @@ def sweep_layers(monkeypatch, algebras, count):
                 patch.setattr(sk1, "_search_monomial_conjugator", orbit_walk_layer)
                 old = decomposition_outcome(e, idx)
             layered = not e.is_scalar() and not e.agrees_to_precision(alg.one())
+            assert new == old
             if layered and set(certified) <= {(0, 0)}:
                 # scalar to precision and fixed by every monomial: see below
-                assert new[0] == "DegenerateDecompositionError" and old[0] != "witness"
+                witness = decompose_norm_one(certify_norm_one(e), random.Random(idx))
+                assert new[0] == "witness" and commutator_product_check(witness)
                 seen.add("scalar to precision")
-            else:
-                assert new == old
             if len(certified) < len(e.coeffs):
                 seen.add("uncertified keys")
             elif layered:
@@ -826,12 +826,13 @@ def test_layer_read_off_the_keys_matches_the_orbit_walk(monkeypatch):
     assert "non-commuting keys" in seen_by[_SWEEP_ALGEBRAS[3][0]]
 
 
-def test_an_element_scalar_to_precision_fixed_by_every_monomial_is_degenerate():
+def test_an_element_scalar_to_precision_fixed_by_every_monomial_gets_the_scalar_witness():
     """e = c j c^-1 j^-1 with c = i^2/(1 + x + y) + O(y^9) equals the scalar
     omega in every certified coefficient but keeps uncertified i-terms.
-    Every monomial conjugation fixes it, so no layer exists.  The orbit
-    walk took the shortcut x0 = j with order 1 and reported the layer norm,
-    which is e, as a norm failure."""
+    Every monomial conjugation fixes it, so no layer exists; its witness is
+    the scalar one, [j, i], which the product oracle accepts too.  The
+    orbit walk took the shortcut x0 = j with order 1 and reported the layer
+    norm, which is e, as a norm failure."""
     alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
     tower = alg.tower
     dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
@@ -840,8 +841,10 @@ def test_an_element_scalar_to_precision_fixed_by_every_monomial_is_degenerate():
     assert sorted(e.coeffs) == [(0, 0), (1, 0), (2, 0)]
     assert [kl for kl, v in e.coeffs.items() if not v.indistinguishable_from_zero()] == [(0, 0)]
     assert e.scalar_part().residue() == alg.omega
-    with pytest.raises(DegenerateDecompositionError, match="recognized conjugation-cyclic layer"):
-        decompose_norm_one(certify_norm_one(e))
+    assert not e.is_scalar()
+    witness = decompose_norm_one(certify_norm_one(e))
+    assert witness.factors == ((alg.j(), alg.i()),)
+    assert witness.verify() and commutator_product_check(witness)
     x0, order = orbit_walk_layer(e)
     assert x0 is alg.j() and order == 1
     with pytest.raises(NormCertificateError, match="norm along the cyclic layer"):
