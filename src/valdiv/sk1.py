@@ -26,7 +26,7 @@ from .errors import (
 )
 from .laurent import INFINITE_VALUATION
 from .ordered import QuotientStructure, _prime_factors
-from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra
+from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra, _phase
 
 # candidates drawn by the randomized engines before they give up
 RETRIES = 16
@@ -185,7 +185,7 @@ def kappa(algebra: SymbolAlgebra, gamma, delta) -> NormOneElement:
 # Hilbert 90 and Skolem-Noether, both generate-and-verify
 
 
-def hilbert90_decompose(a, sigma, order: int, sample):
+def hilbert90_decompose(a, sigma, order: int, sample, prefixes=None, accept=None):
     """Solve a = c * sigma(c)^-1 for a norm-one element of a cyclic layer.
 
     sigma is any callable realizing the generator of the action (a field
@@ -193,19 +193,23 @@ def hilbert90_decompose(a, sigma, order: int, sample):
     randomizer for retry k.  The resolvent c = sum_r (prod_{s<r} sigma^s(a))
     sigma^r(b) satisfies a * sigma(c) = c whenever the norm is 1, and that is
     a = c sigma(c)^-1 only when c is a unit, not just nonzero: inside an
-    algebra a nonzero c can be a zero divisor.  The returned c is checked to
-    be nonzero; `CommutatorWitness.verify` certifies it a unit.
+    algebra a nonzero c can be a zero divisor.
     The partial products of the norm, prefixes[r] = a sigma(a) ... sigma^r(a),
-    are formed once and serve every attempt.
+    serve every attempt; they are formed once here unless passed.  A nonzero
+    c is returned once accept(c) holds, by default a * sigma(c) ~ c;
+    `decompose_norm_one` passes its witness's `verify`, which also
+    certifies c a unit.
     """
-    prefixes = [a]
-    sig_a = a
-    for _ in range(order - 1):
-        sig_a = sigma(sig_a)
-        prefixes.append(prefixes[-1] * sig_a)
+    if prefixes is None:
+        prefixes = [a]
+        sig_a = a
+        for _ in range(order - 1):
+            sig_a = sigma(sig_a)
+            prefixes.append(prefixes[-1] * sig_a)
     nrm = prefixes[-1]
     if not _equalish(nrm, a**0):
         raise NormCertificateError(f"norm along the cyclic layer is {nrm}, not 1")
+    accept = accept or (lambda c: _equalish(a * sigma(c), c))
     for attempt in range(RETRIES):
         b = sample(attempt)
         c = sig_b = b
@@ -214,7 +218,7 @@ def hilbert90_decompose(a, sigma, order: int, sample):
             c = c + prefix * sig_b
         if c.indistinguishable_from_zero():
             continue
-        if _equalish(a * sigma(c), c):
+        if accept(c):
             return c
     raise DegenerateDecompositionError(
         f"no nonzero resolvent found in {RETRIES} retries"
@@ -225,34 +229,29 @@ def _equalish(u, v) -> bool:
     return (u - v).indistinguishable_from_zero()
 
 
-def _phase(x0_key, key, n: int) -> int:
-    """m with x0 i^k' j^l' x0^-1 = omega^m i^k' j^l' for x0 = i^k j^l:
-    m = l k' - k l' mod n, from j^l i^k' = omega^(l k') i^k' j^l."""
-    (k, l), (k2, l2) = x0_key, key
-    return (l * k2 - k * l2) % n
+def _is_phase(x0: AlgebraElement) -> bool:
+    """Whether conjugation by the unit x0 is a phase: x0 = i^k j^l with
+    coefficient 1 and an exact inverse."""
+    (_, c), *rest = x0.coeffs.items()
+    exact_inverse = all(d.is_exact() for d in x0.inv().coeffs.values())
+    return not rest and c == x0.algebra.tower.one() and exact_inverse
 
 
 def conjugation(x0: AlgebraElement):
     """The inner automorphism z -> x0 z x0^-1 as a callable.
 
-    For x0 = i^k j^l with coefficient 1 and an exact inverse it is a phase,
-    c i^k' j^l' -> omega^m c i^k' j^l' with m = _phase, term by term.  Otherwise
-    it is the two products: a truncated inverse truncates windows that the
-    phase would keep exact, and the products' windows are the ones kept.
+    For x0 = i^k j^l with coefficient 1 and an exact inverse it is the phase
+    `AlgebraElement.phase`.  Otherwise it is the two products: a truncated
+    inverse truncates windows that the phase would keep exact, and the
+    products' windows are the ones kept.
     """
-    alg = x0.algebra
     x0_inv = x0.inv()  # x0 is a unit, so it has a term
-    (x0_key, c), *rest = x0.coeffs.items()
-    if not rest and c == alg.tower.one() and all(d.is_exact() for d in x0_inv.coeffs.values()):
-        n, omega_pow = alg.degree, alg._omega_pow
+    if _is_phase(x0):
+        (x0_key,) = x0.coeffs
 
         def phase(z: AlgebraElement) -> AlgebraElement:
             x0._check(z)
-            out = {}
-            for key, c2 in z.coeffs.items():
-                m = _phase(x0_key, key, n)
-                out[key] = c2.scale(omega_pow[m]) if m else c2
-            return AlgebraElement(alg, out)
+            return z.phase(x0_key)
 
         return phase
 
@@ -396,8 +395,11 @@ def decompose_norm_one(
     elements moved by conjugation by a monomial x0 (j, i, then i^k j^l) into
     an element they commute with, where that conjugation realizes the Galois
     action of the cyclic layer and a Hilbert-90 resolvent produces the single
-    commutator [c, x0].  Everything returned has passed
-    `CommutatorWitness.verify`.
+    commutator [c, x0].  When x0 = j acts on e in F[i] as a phase, it acts
+    as tau, so the resolvent's norm prefixes are the head of e's
+    `conjugate_chain`, which its norm formed.  Each candidate c is accepted
+    by the witness's own `CommutatorWitness.verify`, so everything returned
+    has passed it, and no identity is checked twice.
     """
     rng = rng or random.Random(0)
     e = cert.element
@@ -431,11 +433,17 @@ def decompose_norm_one(
                 out = out + powers[k].scale(alg.tower.constant(c))
         return out
 
-    c = hilbert90_decompose(e, sigma, order, sample)
-    witness = CommutatorWitness(((c, conj_by),), e)
-    if not witness.verify():
-        raise DegenerateDecompositionError("resolvent witness failed verification")
-    return witness
+    prefixes = None
+    if conj_by is alg.j() and _is_phase(conj_by) and all(l == 0 for _, l in e.coeffs):
+        prefixes = e.conjugate_chain()[:order]
+
+    def witness(c: AlgebraElement) -> CommutatorWitness:
+        return CommutatorWitness(((c, conj_by),), e)
+
+    c = hilbert90_decompose(
+        e, sigma, order, sample, prefixes=prefixes, accept=lambda c: witness(c).verify()
+    )
+    return witness(c)
 
 
 def _scalar_witness(e: AlgebraElement, alg: SymbolAlgebra):

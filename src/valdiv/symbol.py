@@ -10,8 +10,9 @@ char F > n and a, b are exact.  Otherwise it is computed through an explicit
 degree-n splitting representation over L = F[i], the commutative subalgebra
 in which i^n = a, by Berkowitz's division-free recurrence, so truncated
 coefficients are never inverted.  The defining relations of that
-representation are verified once per algebra on both routes.  The reduced
-norm is read from the constant term.
+representation are verified once per algebra on every route.  The reduced
+norm is read from the constant term, except for an element of L off the
+trace route, whose norm is the product of its conjugates under j.
 
 The extended valuation is v(e) = v(Nrd(e)) / n, a vector of rationals over
 the tower's value group Z^m (outermost variable = most significant).  The
@@ -305,7 +306,7 @@ def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
 class AlgebraElement:
     """Normal-form element sum c_kl i^k j^l with tower-field coefficients."""
 
-    __slots__ = ("algebra", "coeffs", "_prd", "_inv", "_powers")
+    __slots__ = ("algebra", "coeffs", "_prd", "_inv", "_powers", "_chain")
 
     def __init__(self, algebra: SymbolAlgebra, coeffs: dict):
         self.algebra = algebra
@@ -313,6 +314,7 @@ class AlgebraElement:
         self._prd = None
         self._inv = None
         self._powers = None
+        self._chain = None
 
     def _check(self, other: "AlgebraElement"):
         if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
@@ -390,9 +392,44 @@ class AlgebraElement:
         return [[AlgebraElement(alg, entry) for entry in row] for row in mat]
 
     def nrd(self) -> TowerElement:
-        """Reduced norm: (-1)^n times the constant term of `prd`."""
-        c0 = self.prd()[0]
-        return -c0 if self.algebra.degree % 2 else c0
+        """Reduced norm: (-1)^n times the constant term of `prd`, except for
+        x in L = F[i] off the trace route, where it is the scalar part, which
+        must lie in F, of the last entry of `conjugate_chain`.  Its factors
+        tau^r(x) are the diagonal entries d_r of rho(x), on which Berkowitz
+        forms c_k = (-d_k) c_(k-1), the same products up to sign and order,
+        and no other nonempty one: both agree in every coefficient and bound.
+        """
+        alg = self.algebra
+        if self._on_trace_route() or any(l for _, l in self.coeffs):
+            c0 = self.prd()[0]
+            return -c0 if alg.degree % 2 else c0
+        alg.verify_splitting_relations()
+        return _scalar_in_f(self.conjugate_chain()[-1])
+
+    def conjugate_chain(self) -> list["AlgebraElement"]:
+        """x, x tau(x), ..., x tau(x) ... tau^(n-1)(x) for x in L = F[i], where
+        tau, the phase of j, sends c i^k to omega^k c i^k.  The last entry is
+        the norm from L to F, and the entries are the norm prefixes of a
+        Hilbert-90 resolvent along j, so they are cached on x, as `_powers`
+        is for `inv`; the cache leaves x out, so x is in no reference cycle."""
+        if self._chain is None:
+            chain, conj = [self], self
+            for _ in range(self.algebra.degree - 1):
+                conj = conj.phase((0, 1))
+                chain.append(chain[-1] * conj)
+            self._chain = chain[1:]
+        return [self, *self._chain]
+
+    def phase(self, key) -> "AlgebraElement":
+        """x0 x x0^-1 for x0 = i^k j^l, key = (k, l): c i^k' j^l' times omega^m,
+        m = _phase(key, (k', l'), n), term by term.  Exact, with no product;
+        `sk1.conjugation` uses it only where x0's inverse is exact too."""
+        alg = self.algebra
+        out = {}
+        for kl, c in self.coeffs.items():
+            m = _phase(key, kl, alg.degree)
+            out[kl] = c.scale(alg._omega_pow[m]) if m else c
+        return AlgebraElement(alg, out)
 
     def trd(self) -> TowerElement:
         """Reduced trace n * c_00: Trd(i^k j^l) = 0 unless k = l = 0."""
@@ -414,18 +451,14 @@ class AlgebraElement:
         if self._prd is None:
             alg = self.algebra
             alg.verify_splitting_relations()
-            if alg._trace_route and all(c.is_exact() for c in self.coeffs.values()):
+            if self._on_trace_route():
                 self._prd = self._newton_charpoly()
             else:
-                self._prd = []
-                for coeff in _l_charpoly(alg, self.splitting_matrix()):
-                    for kl, comp in coeff.coeffs.items():
-                        if kl != (0, 0) and not comp.indistinguishable_from_zero():
-                            raise InvariantBreachError(
-                                "characteristic polynomial acquired a component in i"
-                            )
-                    self._prd.append(coeff.scalar_part())
+                self._prd = [_scalar_in_f(c) for c in _l_charpoly(alg, self.splitting_matrix())]
         return list(self._prd)
+
+    def _on_trace_route(self) -> bool:
+        return self.algebra._trace_route and all(c.is_exact() for c in self.coeffs.values())
 
     def _newton_charpoly(self) -> list[TowerElement]:
         """The trace route of `prd`, keeping 1, x, ..., x^m in _powers for `inv`.
@@ -573,6 +606,22 @@ def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
     return AlgebraElement(
         alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
     )
+
+
+def _phase(x0_key, key, n: int) -> int:
+    """m with x0 i^k' j^l' x0^-1 = omega^m i^k' j^l' for x0 = i^k j^l:
+    m = l k' - k l' mod n, from j^l i^k' = omega^(l k') i^k' j^l."""
+    (k, l), (k2, l2) = x0_key, key
+    return (l * k2 - k * l2) % n
+
+
+def _scalar_in_f(x: AlgebraElement) -> TowerElement:
+    """The scalar part of x, which must lie in F: a certified component off
+    (0, 0) is a construction bug."""
+    for kl, comp in x.coeffs.items():
+        if kl != (0, 0) and not comp.indistinguishable_from_zero():
+            raise InvariantBreachError("characteristic polynomial acquired a component in i")
+    return x.scalar_part()
 
 
 def _scalar_of_product(x: AlgebraElement, y: AlgebraElement) -> TowerElement:

@@ -679,6 +679,71 @@ def orbit_walk_layer(e):
     raise DegenerateDecompositionError("conjugation does not close on the layer")
 
 
+def two_check_decomposition(e, rng):
+    """The factors of e's commutator witness by the flow that checked each
+    resolvent twice: Nrd(e) = 1 certified from `prd`; the norm prefixes of
+    the Hilbert-90 resolvent formed by applying sigma; a candidate c kept
+    once e sigma(c) ~ c; then `verify`, whose failure raised.  The reference
+    for `sk1.decompose_norm_one`, which takes e's conjugate chain as the
+    prefixes and `verify` as the one check; it must print the same factors
+    and raise the same errors."""
+    from valdiv import sk1
+    from valdiv.errors import (
+        DegenerateDecompositionError,
+        NormCertificateError,
+        PrecisionExhaustedError,
+    )
+
+    def equalish(u, v):
+        return (u - v).indistinguishable_from_zero()
+
+    alg, one = e.algebra, e.algebra.one()
+    c0 = e.prd()[0]
+    nr = -c0 if alg.degree % 2 else c0
+    diff = nr - alg.tower.one()
+    if not diff.is_zero() and not diff.indistinguishable_from_zero():
+        raise NormCertificateError(f"reduced norm is {nr}, not 1")
+    if not diff.is_zero() and not diff.certifies_zero_position():
+        raise PrecisionExhaustedError("norm-one check undecided at working precision")
+    if equalish(e, one):
+        return ()
+    if all(kl == (0, 0) for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()):
+        witness = sk1._scalar_witness(e, alg)
+        if witness is not None:
+            return witness.factors
+        if e.is_scalar():
+            raise DegenerateDecompositionError(
+                "central norm-one scalar outside the root-of-unity image"
+            )
+    x0, order = sk1._search_monomial_conjugator(e)
+    sigma = sk1.conjugation(x0)
+    powers, prefixes, sig_e = [one, e], [e], e
+    for _ in range(order - 1):
+        sig_e = sigma(sig_e)
+        prefixes.append(prefixes[-1] * sig_e)
+    if not equalish(prefixes[-1], one):
+        raise NormCertificateError(f"norm along the cyclic layer is {prefixes[-1]}, not 1")
+    for _ in range(sk1.RETRIES):
+        b = alg.zero()
+        for k in range(order):  # a random element of the layer generated by e
+            w = rng.randint(0, max(alg.tower.base.char - 1, 9))
+            if w:
+                while len(powers) <= k:
+                    powers.append(powers[-1] * e)
+                b = b + powers[k].scale(alg.tower.constant(w))
+        c = sig_b = b
+        for prefix in prefixes[:-1]:
+            sig_b = sigma(sig_b)
+            c = c + prefix * sig_b
+        if c.indistinguishable_from_zero() or not equalish(e * sigma(c), c):
+            continue
+        witness = sk1.CommutatorWitness(((c, x0),), e)
+        if not witness.verify():
+            raise DegenerateDecompositionError("resolvent witness failed verification")
+        return witness.factors
+    raise DegenerateDecompositionError(f"no nonzero resolvent found in {sk1.RETRIES} retries")
+
+
 # ---------------------------------------------------------------------------
 # commutator witnesses and conjugators, re-multiplied with their inverses
 

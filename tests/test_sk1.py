@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from valdiv import sk1, symbol
+from valdiv import pipeline, sk1, symbol
 from valdiv.errors import (
     CharPolyMismatchError,
     ConjugatorSearchError,
@@ -45,6 +45,7 @@ from oracles import (
     conjugator_check,
     orbit_walk_layer,
     series_plain,
+    two_check_decomposition,
 )
 
 from conftest import (
@@ -375,20 +376,21 @@ def _spied_conjugations(monkeypatch, e):
     return applied
 
 
-def test_decompose_applies_sigma_to_an_element_of_l_once(monkeypatch):
-    """For e in F[i] the order is read off the keys, so sigma(e) is formed
-    once, for the first norm prefix; the orbit walk formed it twice."""
+def test_decompose_applies_sigma_to_an_element_of_l_never(monkeypatch):
+    """For e in F[i] the order is read off the keys, and the norm prefixes
+    are e's conjugate chain, formed by its norm: sigma(e) is not formed.
+    The orbit walk forms it once, to find the order."""
     alg = make_symbol_xy(3, 7)
     e = _random_norm_one_in_i_span(alg, random.Random(7))
     assert all(l == 0 for _, l in e.coeffs)
     cert = certify_norm_one(e)
     applied = _spied_conjugations(monkeypatch, e)
     witness = decompose_norm_one(cert, random.Random(5))
-    assert witness.factors[0][1] is alg.j() and applied.count(True) == 1
+    assert witness.factors[0][1] is alg.j() and applied.count(True) == 0
     del applied[:]
     monkeypatch.setattr(sk1, "_search_monomial_conjugator", orbit_walk_layer)
     assert decompose_norm_one(cert, random.Random(5)).factors == witness.factors
-    assert applied.count(True) == 2
+    assert applied.count(True) == 1
 
 
 def test_search_forms_no_product_for_commuting_keys(monkeypatch):
@@ -626,9 +628,10 @@ def test_verdict_never_trivial_on_boundary_regression():
 def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
     """The algebra keeps one i and one j, so the reduced characteristic
     polynomial of j, which the random norm-one element and its decomposition
-    both need, is computed once and then read from j's cache.  The others
-    are those of the random c and of e; the resolvent is certified a unit
-    without its norm."""
+    both need, is computed once and then read from j's cache.  The other
+    is that of the random c, which is inverted; e lies in F[i], so its norm
+    is its conjugate chain, and the resolvent is certified a unit without
+    its norm."""
     alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
     assert alg.i() is alg.i() and alg.j() is alg.j()
     computed, real = [], AlgebraElement.prd
@@ -640,8 +643,52 @@ def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
 
     monkeypatch.setattr(AlgebraElement, "prd", spy)
     sk1_witness_batch(alg, count=1, seed=0)
-    assert len(computed) == 3
+    assert len(computed) == 2
     assert computed.count({(0, 1)}) == 1
+
+
+@pytest.mark.parametrize(
+    "text, counts",
+    [
+        # conjugation by j is tau: e's norm chain is the resolvent's prefixes
+        ("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", {"norm": 2, "resolvent": 3}),
+        # b = x + y truncates the inverse of j: sigma is two products, and the
+        # resolvent forms its own prefixes with them
+        ("symbol(n=3, omega=2, a=x, b=x+y) over F7((x))((y))", {"norm": 2, "resolvent": 13}),
+    ],
+)
+def test_witness_batch_job_products(monkeypatch, text, counts):
+    """The algebra products of one batch job, by stage.  The norm of e in
+    F[i] is its conjugate chain, n - 1 products (Berkowitz made 8), and the
+    resolvent's only check is verify's three products: the two-check flow
+    made 6 and 16 in the resolvent.  Making e (c, its inverse, the
+    commutator) and the sample's powers of e take 9."""
+    alg = parse_algebra(text, 10)
+    alg.verify_splitting_relations()
+    stage, made = ["batch"], {}
+    real = symbol._sum_of_products
+
+    def staged(name, func):
+        def run(*args, **kwargs):
+            outer, stage[0] = stage[0], name
+            try:
+                return func(*args, **kwargs)
+            finally:
+                stage[0] = outer
+
+        return run
+
+    def products(alg, pairs):
+        made[stage[0]] = made.get(stage[0], 0) + 1
+        return real(alg, pairs)
+
+    monkeypatch.setattr(symbol, "_sum_of_products", products)
+    monkeypatch.setattr(pipeline, "certify_norm_one", staged("norm", certify_norm_one))
+    monkeypatch.setattr(sk1, "hilbert90_decompose", staged("resolvent", sk1.hilbert90_decompose))
+    monkeypatch.setattr(CommutatorWitness, "verify", staged("verify", CommutatorWitness.verify))
+    (entry,) = sk1_witness_batch(alg, count=1, seed=0)
+    assert entry["verified"] is True
+    assert made == {"batch": 9, **counts, "verify": 3}
 
 
 def _plain(e):
@@ -764,11 +811,13 @@ def sweep_elements(alg, rng, count):
         yield e
 
 
-def decomposition_outcome(e, seed):
-    """("witness", the printed factors), or the error type and message."""
+def decomposition_outcome(e, seed, flow=None):
+    """("witness", the printed factors), or the error type and message;
+    flow(e, rng) gives the factors, by default `certify_norm_one` then
+    `decompose_norm_one`."""
+    flow = flow or (lambda e, rng: decompose_norm_one(certify_norm_one(e), rng).factors)
     try:
-        witness = decompose_norm_one(certify_norm_one(e), random.Random(seed))
-        return "witness", tuple((str(x), str(y)) for x, y in witness.factors)
+        return "witness", tuple((str(x), str(y)) for x, y in flow(e, random.Random(seed)))
     except ValdivError as exc:
         return type(exc).__name__, str(exc)
 
@@ -824,6 +873,37 @@ def test_layer_read_off_the_keys_matches_the_orbit_walk(monkeypatch):
     for text, _ in _SWEEP_ALGEBRAS[3:]:  # the inverse of i, or of j, is truncated
         assert {"witness", "uncertified keys"} <= seen_by[text]
     assert "non-commuting keys" in seen_by[_SWEEP_ALGEBRAS[3][0]]
+
+
+# the two n = 4 algebras that, with _SWEEP_ALGEBRAS, make up the sweep on
+# which the benchmark's frozen failure n4-axy-p8/27 was studied
+_N4_ALGEBRAS = [
+    ("symbol(n=4, omega=2, a=x, b=y) over F5((x))((y))", 8),
+    ("symbol(n=4, omega=auto, a=x+y, b=y) over F5((x))((y))", 8),
+]
+
+
+def test_one_check_decomposition_matches_the_two_check_flow(monkeypatch):
+    """On 30 seeded elements of each of seven algebras, decompose_norm_one,
+    with e's conjugate chain as the norm prefixes where j acts as tau and
+    verify as the one acceptance test, prints the factors and raises the
+    error types and messages of the two-check flow of tests/oracles.py."""
+    shared, real = [], sk1.hilbert90_decompose
+
+    def h90(*args, **kwargs):
+        shared.append(kwargs["prefixes"] is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(sk1, "hilbert90_decompose", h90)
+    seen = set()
+    for text, prec in _SWEEP_ALGEBRAS + _N4_ALGEBRAS:
+        alg = parse_algebra(text, prec)
+        for idx, e in enumerate(sweep_elements(alg, random.Random(text), 30)):
+            new = decomposition_outcome(e, idx)
+            assert new == decomposition_outcome(e, idx, two_check_decomposition), (text, idx)
+            seen.add(new[0])
+    assert seen == {"witness", "DegenerateDecompositionError", "NormCertificateError"}
+    assert shared.count(True) >= 20 and shared.count(False) >= 80
 
 
 def test_an_element_scalar_to_precision_fixed_by_every_monomial_gets_the_scalar_witness():
@@ -948,8 +1028,8 @@ def test_decomposition_forms_no_norm_of_the_resolvent(monkeypatch):
     resolvents, computed = [], []
     real_h90, real_prd = sk1.hilbert90_decompose, AlgebraElement.prd
 
-    def h90(*args):
-        resolvents.append(real_h90(*args))
+    def h90(*args, **kwargs):
+        resolvents.append(real_h90(*args, **kwargs))
         return resolvents[-1]
 
     def prd(self):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from valdiv.errors import (
     NotInvertibleError,
     PrecisionExhaustedError,
     UnsupportedFieldError,
+    ValdivError,
 )
 from valdiv.fields import QQ, ExtensionField, PrimeField, primitive_root_of_unity
 from valdiv.grammar import parse_algebra
@@ -694,6 +696,78 @@ def _has_bound(plain):
     return isinstance(plain, tuple) and (
         plain[1] is not None or any(_has_bound(c) for c in plain[0].values())
     )
+
+
+# (base, degree, height): prime and extension bases, and F9 with char <= n
+_CHAIN_CASES = [
+    (base, n, height)
+    for base, degrees in (
+        ("F13", (2, 3, 4, 6)), ("F11", (5,)), ("F7[w]/(w^3-2)", (2, 3, 6)), ("F3[w]/(w^2+1)", (4,))
+    )
+    for n in degrees
+    for height in (1, 2, 3)
+    if (base, n, height) != ("F7[w]/(w^3-2)", 6, 3)  # Berkowitz alone takes seconds there
+]
+
+
+def _chain_algebra(base, n, height, truncated_slot):
+    """Degree n over base((x))..., a = x, or x + O(x^2) in the innermost
+    slot, and b = 1 + (outermost variable), at precision 6."""
+    variables = _VARIABLES[:height]
+    a = "x"
+    if truncated_slot:
+        a += "+O(" + "*".join([f"{v}^0" for v in reversed(variables[1:])] + ["x^2"]) + ")"
+    tower = "".join(f"(({v}))" for v in variables)
+    return parse_algebra(
+        f"symbol(n={n}, omega=auto, a={a}, b=1+{variables[-1]}) over {base}{tower}", 6
+    )
+
+
+def _norm_or_error(norm):
+    try:
+        return series_plain(norm().payload)
+    except ValdivError as exc:
+        return type(exc), str(exc)
+
+
+def test_conjugate_chain_norm_matches_berkowitz_in_every_window(monkeypatch):
+    """On 312 elements of L = F[i], nrd equals (-1)^n times the constant term
+    of Berkowitz over L on rho(x) in every coefficient and bound at every
+    level, with the same errors, and builds no rho: heights 1-3, n = 2-6,
+    F_p, F7[w]/(w^3 - 2) and F9, exact and truncated a.  Those off the trace
+    route take the conjugate chain.  A truncated element outside F[i] still
+    takes Berkowitz."""
+    rng = random.Random(23)
+    real_charpoly, real_matrix = symbol._l_charpoly, AlgebraElement.splitting_matrix
+    built, chained = [], 0
+
+    def matrix(self):
+        built.append(self)
+        return real_matrix(self)
+
+    def berkowitz_norm(e):
+        c0 = symbol._scalar_in_f(real_charpoly(e.algebra, real_matrix(e))[0])
+        return -c0 if e.algebra.degree % 2 else c0
+
+    calls = _spied_charpoly(monkeypatch)
+    monkeypatch.setattr(AlgebraElement, "splitting_matrix", matrix)
+    for (base, n, height), truncated_slot in itertools.product(_CHAIN_CASES, (False, True)):
+        alg = _chain_algebra(base, n, height, truncated_slot)
+        alg.verify_splitting_relations()
+        for _ in range(6):
+            e = alg.zero()
+            for k in rng.sample(range(n), rng.randint(1, n)):
+                e = e + alg.monomial(k, 0, _trace_coefficient(alg.tower, rng))
+            want = _norm_or_error(lambda: berkowitz_norm(e))
+            del built[:], calls[:]
+            assert _norm_or_error(e.nrd) == want, (alg.describe(), str(e))
+            assert built == [] and calls == []
+            chained += e._chain is not None
+        outside = e + alg.monomial(0, 1, _trace_coefficient(alg.tower, rng))
+        if not outside._on_trace_route():
+            outside.nrd()
+            assert built == [outside] and len(calls) == 1
+    assert chained >= 250
 
 
 def test_trace_from_the_normal_form_matches_the_splitting_trace():
