@@ -23,10 +23,11 @@ from .errors import (
     NoRepresentativeError,
     NormCertificateError,
     PrecisionExhaustedError,
+    UsageError,
 )
 from .laurent import INFINITE_VALUATION
 from .ordered import QuotientStructure, _prime_factors
-from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra, _phase
+from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra, _norm_prefixes, _phase
 
 # candidates drawn by the randomized engines before they give up
 RETRIES = 16
@@ -201,11 +202,7 @@ def hilbert90_decompose(a, sigma, order: int, sample, prefixes=None, accept=None
     certifies c a unit.
     """
     if prefixes is None:
-        prefixes = [a]
-        sig_a = a
-        for _ in range(order - 1):
-            sig_a = sigma(sig_a)
-            prefixes.append(prefixes[-1] * sig_a)
+        prefixes = _norm_prefixes(a, sigma, order)
     nrm = prefixes[-1]
     if not _equalish(nrm, a**0):
         raise NormCertificateError(f"norm along the cyclic layer is {nrm}, not 1")
@@ -282,16 +279,12 @@ def skolem_noether_conjugator(
         raise CharPolyMismatchError(
             "reduced characteristic polynomials differ; no conjugator exists"
         )
-    n = alg.degree
+    n, zero = alg.degree, alg.tower.zero()
     basis = [(k, l) for k in range(n) for l in range(n)]
-    columns = []
-    for kl in basis:
-        z = alg.monomial(*kl)
-        image = z * k_elem - target * z
-        columns.append([image.coeffs.get(b, alg.tower.zero()) for b in basis])
+    images = [z * k_elem - target * z for z in (alg.monomial(*kl) for kl in basis)]
     # rows: equations (one per basis coordinate); cols: unknowns
-    mat = [[columns[c][r] for c in range(len(basis))] for r in range(len(basis))]
-    kernel = _nullspace(alg, mat)
+    mat = [[image.coeffs.get(b, zero) for image in images] for b in basis]
+    kernel = [AlgebraElement(alg, dict(zip(basis, vec))) for vec in _nullspace(alg, mat)]
     if not kernel:
         raise ConjugatorSearchError("conjugation system has trivial nullspace")
     rng = rng or random.Random(0)
@@ -302,15 +295,7 @@ def skolem_noether_conjugator(
         cand = alg.zero()
         for w, vec in zip(coeffs, kernel):
             if w:
-                scaled = AlgebraElement(
-                    alg,
-                    {
-                        b: vec[idx] * alg.tower.constant(w)
-                        for idx, b in enumerate(basis)
-                        if not vec[idx].is_zero()
-                    },
-                )
-                cand = cand + scaled
+                cand = cand + vec.scale(alg.tower.constant(w))
         if cand.indistinguishable_from_zero():
             continue
         try:
@@ -420,17 +405,13 @@ def decompose_norm_one(
     conj_by, order = _search_monomial_conjugator(e)
     sigma = conjugation(conj_by)
 
-    powers = [alg.one(), e]  # e^k, each formed at most once per call
-
     def sample(attempt: int) -> AlgebraElement:
-        # random element of the layer generated by e
+        # random element of the layer generated by e, whose powers e caches
         out = alg.zero()
         for k in range(order):
             c = rng.randint(0, max(alg.tower.base.char - 1, 9))
             if c:
-                while len(powers) <= k:
-                    powers.append(powers[-1] * e)
-                out = out + powers[k].scale(alg.tower.constant(c))
+                out = out + e.powers(k)[k].scale(alg.tower.constant(c))
         return out
 
     prefixes = None
@@ -563,15 +544,23 @@ def verdict(
 ) -> Verdict:
     """Dispatch the sufficient conditions for a trivial reduced Whitehead group.
 
-    Rule order: the two rank cases of the main criterion (which need the
-    computed cohomological dimension to be exactly 3), then the square-free
-    index rule, then the dimension-at-most-2 rule, then the rank-zero
-    inertially-split fallback (which needs the caller-supplied hint
-    "inertially_split_residue_is_field", since residue algebras are not
-    computed in general).  Reports "unknown" only when every hypothesis holds
-    and no sufficient condition fires; "not_applicable" when a standing
-    hypothesis fails.
+    Rule order: the two rank cases of the main criterion, then the
+    square-free index rule, then the dimension-at-most-2 rule, then the
+    rank-zero inertially-split fallback, which also needs the caller-supplied
+    hint "inertially_split_residue_is_field", since residue algebras are not
+    computed in general.  The rank cases and the fallback need cd_q(F)
+    exactly 3, a finite residue dimension and a q-primary degree.  Reports
+    "unknown" only when every hypothesis holds and no sufficient condition
+    fires; "not_applicable" when a standing hypothesis fails.  The profile
+    must have one Laurent layer per level of the report's value group, as r_q
+    is read from the profile; a UsageError otherwise.
     """
+    layers = report.value_group.ambient_rank
+    if profile.height != layers:
+        raise UsageError(
+            f"the profile has {profile.height} Laurent layers, but the algebra's"
+            f" tower has {layers}"
+        )
     deg = report.degree
     p_bar = profile.residue_char
     inputs: dict = {"q": q, "degree": deg, "residue_char": p_bar}
@@ -589,9 +578,10 @@ def verdict(
     inputs.update({"r_q": r_q, "cd_q": cd.describe()})
 
     cd_exact_3 = cd.kind == "exact" and cd.value == 3
-    residue_cd_finite = cd.residue_finite
+    # the standing hypotheses of the paper's rank rules
+    rank_rules = cd_exact_3 and cd.residue_finite and q_primary
 
-    if cd_exact_3 and residue_cd_finite and q_primary and 1 <= r_q <= 3:
+    if rank_rules and 1 <= r_q <= 3:
         return Verdict(
             "trivial",
             "rank_one_to_three",
@@ -600,13 +590,7 @@ def verdict(
             " the reduced Whitehead group is trivial",
             inputs,
         )
-    if (
-        cd_exact_3
-        and residue_cd_finite
-        and q_primary
-        and r_q == 0
-        and (report.is_semiramified or report.is_totally_ramified)
-    ):
+    if rank_rules and r_q == 0 and (report.is_semiramified or report.is_totally_ramified):
         return Verdict(
             "trivial",
             "rank_zero_semiramified_or_totally_ramified",
@@ -630,11 +614,8 @@ def verdict(
             " triviality regime",
             inputs,
         )
-    if (
-        r_q == 0
-        and residue_hints is not None
-        and residue_hints.get("inertially_split_residue_is_field")
-    ):
+    hint = (residue_hints or {}).get("inertially_split_residue_is_field")
+    if rank_rules and r_q == 0 and hint:
         return Verdict(
             "trivial",
             "rank_zero_inertially_split_field_residue",

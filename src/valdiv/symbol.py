@@ -267,21 +267,18 @@ class SymbolAlgebra:
         )
 
     def _quaternion_division_flag(self, notes: list[str]) -> bool | None:
-        va, vb = self.a.valuation(), self.b.valuation()
-        if va == (0,) and vb == (1,):
-            unit, uniformizer = self.a, self.b
-        elif vb == (0,) and va == (1,):
-            unit, uniformizer = self.b, self.a
-        else:
-            unit = None
-        if unit is None or self.tower.residue_char == 2:
-            notes.append("division status not decided by the supported criteria")
-            return None
-        notes.append(
-            "quaternion unit/uniformizer criterion: division iff the unit slot"
-            " is a non-square"
-        )
-        return quaternion_is_division(unit, uniformizer)
+        for unit, uniformizer in ((self.a, self.b), (self.b, self.a)):
+            try:
+                is_division = quaternion_is_division(unit, uniformizer)
+            except (NotAUnitError, UnsupportedFieldError):
+                continue
+            notes.append(
+                "quaternion unit/uniformizer criterion: division iff the unit slot"
+                " is a non-square"
+            )
+            return is_division
+        notes.append("division status not decided by the supported criteria")
+        return None
 
 
 def quaternion_is_division(u: TowerElement, t_elem: TowerElement) -> bool:
@@ -410,15 +407,22 @@ class AlgebraElement:
         """x, x tau(x), ..., x tau(x) ... tau^(n-1)(x) for x in L = F[i], where
         tau, the phase of j, sends c i^k to omega^k c i^k.  The last entry is
         the norm from L to F, and the entries are the norm prefixes of a
-        Hilbert-90 resolvent along j, so they are cached on x, as `_powers`
-        is for `inv`; the cache leaves x out, so x is in no reference cycle."""
+        Hilbert-90 resolvent along j, so they are cached on x, as `powers`
+        are; the cache leaves x out, so x is in no reference cycle."""
         if self._chain is None:
-            chain, conj = [self], self
-            for _ in range(self.algebra.degree - 1):
-                conj = conj.phase((0, 1))
-                chain.append(chain[-1] * conj)
-            self._chain = chain[1:]
+            n = self.algebra.degree
+            self._chain = _norm_prefixes(self, lambda z: z.phase((0, 1)), n)[1:]
         return [self, *self._chain]
+
+    def powers(self, k: int) -> list["AlgebraElement"]:
+        """1, x, ..., x^k, each x^r formed once as x^(r-1) x.  They serve the
+        trace route of `prd`, `inv` and the Hilbert-90 sampler, so x^2, x^3,
+        ... are cached on x; the cache leaves x out, as `_chain` does."""
+        powers = [self.algebra.one(), self, *(self._powers or ())]
+        while len(powers) <= k:
+            powers.append(powers[-1] * self)
+        self._powers = powers[2:]
+        return powers[: k + 1]
 
     def phase(self, key) -> "AlgebraElement":
         """x0 x x0^-1 for x0 = i^k j^l, key = (k, l): c i^k' j^l' times omega^m,
@@ -461,7 +465,7 @@ class AlgebraElement:
         return self.algebra._trace_route and all(c.is_exact() for c in self.coeffs.values())
 
     def _newton_charpoly(self) -> list[TowerElement]:
-        """The trace route of `prd`, keeping 1, x, ..., x^m in _powers for `inv`.
+        """The trace route of `prd`, from the powers 1, x, ..., x^m.
 
         With m = ceil(n/2), p_k = Trd(x^k) = n c_00(x^k) for k <= m; for k > m
         only the scalar part of x^m x^(k-m) is summed.  With c_n = 1, Newton's
@@ -471,10 +475,7 @@ class AlgebraElement:
         alg = self.algebra
         n, tower = alg.degree, alg.tower
         m = (n + 1) // 2
-        powers = [alg.one(), self]
-        while len(powers) <= m:
-            powers.append(powers[-1] * self)
-        self._powers = powers
+        powers = self.powers(m)
         sums = [x.trd() for x in powers[1:]]
         for k in range(m + 1, n + 1):
             c00 = _scalar_of_product(powers[m], powers[k - m])
@@ -511,11 +512,8 @@ class AlgebraElement:
         alg = self.algebra
         poly = self.unit_prd()
         c0_inv = poly[0].inv()
-        powers = self._powers or [alg.one(), self]  # 1, x, ..., x^m from the trace route
-        self._powers = None
-        while len(powers) < alg.degree:
-            powers.append(powers[-1] * self)
         # poly[k] multiplies x^(k-1), with the monic leading 1 at k = n
+        powers = self.powers(alg.degree - 1)
         pairs = ((power, alg.scalar(c)) for power, c in zip(powers, poly[1:]))
         self._inv = _sum_of_products(alg, pairs).scale(-c0_inv)
         return self._inv
@@ -606,6 +604,16 @@ def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
     return AlgebraElement(
         alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
     )
+
+
+def _norm_prefixes(a, sigma, count: int) -> list:
+    """a, a sigma(a), ..., a sigma(a) ... sigma^(count-1)(a), each product
+    left-associated: the norm prefixes of a along the automorphism sigma."""
+    prefixes, conj = [a], a
+    for _ in range(count - 1):
+        conj = sigma(conj)
+        prefixes.append(prefixes[-1] * conj)
+    return prefixes
 
 
 def _phase(x0_key, key, n: int) -> int:

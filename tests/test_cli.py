@@ -261,6 +261,15 @@ def test_verdict_non_prime_q_is_input_error(capsys):
     )
 
 
+def test_verdict_profile_of_another_height_is_input_error(capsys):
+    error = _assert_input_error(
+        capsys, "verdict", "--algebra",
+        "symbol(n=4, omega=auto, a=x, b=y) over F5((x))((y))",
+        "--profile", "decl(cd2=3)", "--q", "2",
+    )
+    assert "0 Laurent layers" in error and "tower has 2" in error
+
+
 def test_cd_non_prime_q_is_input_error(capsys):
     _assert_input_error(capsys, "cd", "--profile", "decl(cd2=1)((x))", "--q", "4")
 

@@ -12,6 +12,7 @@ from valdiv.errors import (
     NormCertificateError,
     NotInvertibleError,
     PrecisionExhaustedError,
+    UsageError,
     ValdivError,
 )
 from valdiv.fields import (
@@ -25,7 +26,7 @@ from valdiv.fields import (
 )
 from valdiv.grammar import parse_algebra, parse_series
 from valdiv.pipeline import sk1_witness_batch
-from valdiv.profiles import declared_profile, profile_from_tower
+from valdiv.profiles import INF, declared_profile, profile_from_tower
 from valdiv.sk1 import (
     CommutatorWitness,
     certify_norm_one,
@@ -597,6 +598,68 @@ def test_verdict_remark_fallback_with_hint():
     )
     assert v.conclusion == "trivial"
     assert v.rule == "rank_zero_inertially_split_field_residue"
+
+
+def _rank_zero_report(degree, index, **flags):
+    """A synthetic defectless report over a height-0 tower (q-rank 0)."""
+    from valdiv.ordered import Lattice, QuotientStructure
+    from valdiv.symbol import RamificationReport
+
+    return RamificationReport(
+        algebra=f"synthetic degree-{degree} algebra of index {index}",
+        dimension=degree * degree,
+        degree=degree,
+        value_group=Lattice.standard(0),
+        grade_quotient=QuotientStructure(()),
+        index=index,
+        residue_degree=degree * degree // index,
+        defect=1,
+        is_defectless=True,
+        is_totally_ramified=flags.get("total", False),
+        is_semiramified=flags.get("semi", False),
+        is_tame=True,
+        is_division=True,
+    )
+
+
+@pytest.mark.parametrize(
+    "degree, index, flag", [(4, 4, "semi"), (4, 16, "total"), (2, 2, "semi"), (2, 4, "total")]
+)
+def test_verdict_rank_zero_theorem_rule(degree, index, flag):
+    """q-rank 0, cd_q(F) = 3 and a semiramified or totally ramified algebra:
+    the paper's rank-0 rule, ahead of the square-free index rule at degree
+    2; with an infinite residue dimension it does not fire."""
+    report = _rank_zero_report(degree, index, **{flag: True})
+    v = verdict(declared_profile({2: 3}), report, 2)
+    assert (v.conclusion, v.rule) == ("trivial", "rank_zero_semiramified_or_totally_ramified")
+    assert v.inputs["r_q"] == 0
+    v = verdict(declared_profile({2: INF}), report, 2)
+    assert v.rule != "rank_zero_semiramified_or_totally_ramified"
+    if degree == 4:
+        assert v.conclusion == "not_applicable"
+    else:
+        assert (v.conclusion, v.rule) == ("trivial", "squarefree_index")
+
+
+@pytest.mark.parametrize("cd", [5, INF])
+def test_verdict_hint_rule_needs_cd_exactly_3(cd):
+    """The rank-0 hint rule keeps the standing hypotheses of the rank rules:
+    the report that gets it at cd_q(F) = 3 in
+    `test_verdict_remark_fallback_with_hint` does not at 5 or infinity."""
+    hints = {"inertially_split_residue_is_field": True}
+    v = verdict(declared_profile({2: cd}), _rank_zero_report(4, 1), 2, residue_hints=hints)
+    assert (v.conclusion, v.rule) == ("not_applicable", None)
+
+
+def test_verdict_refuses_a_profile_of_another_height():
+    """r_q is read from the profile, so its layers must be the tower's."""
+    alg = make_symbol_xy(4, 5)
+    with pytest.raises(UsageError, match="profile has 0 Laurent layers.*tower has 2"):
+        verdict(declared_profile({2: 3}), alg.classify(), 2)
+    with pytest.raises(UsageError, match="profile has 3 Laurent layers.*tower has 2"):
+        verdict(declared_profile({2: 0}, ("x", "y", "z")), alg.classify(), 2)
+    v = verdict(declared_profile({2: 1}, ("x", "y")), alg.classify(), 2)
+    assert (v.conclusion, v.rule) == ("trivial", "rank_one_to_three")
 
 
 def test_verdict_never_trivial_on_boundary_regression():

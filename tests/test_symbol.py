@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -953,7 +955,8 @@ def test_trace_route_is_kept_off_truncated_inputs():
 
 @pytest.mark.parametrize("n, p", [(3, 7), (4, 5), (5, 11), (6, 7)])
 def test_inverse_forms_only_the_powers_prd_did_not(monkeypatch, n, p):
-    """nrd() then inv() costs n - 2 algebra products, and inv drops the powers."""
+    """nrd() then inv() costs n - 2 algebra products, and the powers stay
+    cached on the element, x itself left out, so asking again forms none."""
     alg = make_symbol_xy(n, p, prec=6)
     e = alg.one() + alg.i() + alg.monomial(1, 1, alg.tower.var("x"))
     alg.verify_splitting_relations()
@@ -966,10 +969,11 @@ def test_inverse_forms_only_the_powers_prd_did_not(monkeypatch, n, p):
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
     e.nrd()
-    assert len(e._powers) == (n + 1) // 2 + 1  # 1, x, ..., x^m
+    assert len(e._powers) == (n + 1) // 2 - 1  # x^2, ..., x^m
     e.inv()
     assert len(products) == n - 2
-    assert e._powers is None
+    assert len(e._powers) == n - 2  # x^2, ..., x^(n-1)
+    assert e.powers(n - 1)[2:] == e._powers and len(products) == n - 2
 
 
 def test_inverse_on_the_berkowitz_route_starts_its_powers_at_x(monkeypatch):
@@ -984,10 +988,38 @@ def test_inverse_on_the_berkowitz_route_starts_its_powers_at_x(monkeypatch):
         return real(x, y)
 
     monkeypatch.setattr(AlgebraElement, "__mul__", counted)
+    e.prd()
+    assert e._powers is None  # Berkowitz: prd forms no powers
     e.inv()
-    assert e._powers is None  # Berkowitz: prd kept no powers
+    assert len(e._powers) == alg.degree - 2  # x^2, ..., x^(n-1)
     assert len(products) == alg.degree - 2
     assert [pair for pair in products if alg.one() in pair] == []
+
+
+class _Tracked(AlgebraElement):
+    """An element that a weak reference can watch."""
+
+    __slots__ = ("__weakref__",)
+
+
+@pytest.mark.parametrize("route", ["prd", "inv"])
+def test_an_element_is_freed_without_the_cycle_collector(route):
+    """The cached powers leave x out, so an element whose prd took the trace
+    route, or that was inverted, is in no reference cycle: with the cycle
+    collector off it is freed once nothing refers to it."""
+    alg = make_symbol_xy(3, 7, prec=6)
+    alg.verify_splitting_relations()
+    x = alg.tower.var("x")
+    e = _Tracked(alg, (alg.one() + alg.i() + alg.monomial(1, 1, x)).coeffs)
+    assert e._on_trace_route()
+    gc.disable()
+    try:
+        getattr(e, route)()
+        ref = weakref.ref(e)
+        del e
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def _spied_charpoly(monkeypatch):
