@@ -489,23 +489,14 @@ def _poly_divmod(field, num: list, den: list):
     return quo, _poly_trim(field, num[:d])
 
 
-def _poly_gcd(field, a: list, b: list) -> list:
-    """Monic gcd by Euclid's algorithm; [] when both are zero."""
-    g, b = _poly_trim(field, list(a)), _poly_trim(field, list(b))
-    while b:
-        g, b = b, _poly_divmod(field, g, b)[1]
-    if g:
-        lead_inv = field._inv(g[-1])
-        g = [field._mul(c, lead_inv) for c in g]
-    return g
-
-
 def _is_irreducible_finite(ring: ExtensionField) -> bool:
     """Rabin's test (SIAM J. Comput. 9, 1980) for the modulus f of a finite base.
 
     With q the base size and n = deg f, f is irreducible iff x^(q^n) = x mod f
     and gcd(x^(q^(n/r)) - x, f) = 1 for every prime r dividing n.  The powers
-    are taken in F_q[x]/(f), whose multiplication needs no irreducibility.
+    are taken in F_q[x]/(f), whose multiplication needs no irreducibility, and
+    the gcd is 1 exactly when x^(q^(n/r)) - x is invertible there: `_inv`'s
+    extended Euclid raises NotInvertibleError otherwise.
     """
     n, q, x = ring.degree, ring.base.size(), ring.generator()
     frob = [x]  # frob[k] = x^(q^k)
@@ -513,10 +504,12 @@ def _is_irreducible_finite(ring: ExtensionField) -> bool:
         frob.append(frob[-1] ** q)
     if frob[n] != x:
         return False
-    return all(
-        len(_poly_gcd(ring.base, (frob[n // r] - x).rep, ring._mod_reps)) == 1
-        for r in _prime_factors(n)
-    )
+    try:
+        for r in _prime_factors(n):
+            (frob[n // r] - x).inv()
+    except NotInvertibleError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -768,10 +761,6 @@ class FieldAutomorphism:
                     image = self(image)
             sigma_k = self._powers[k] = FieldAutomorphism(self.field, image)
         return sigma_k
-
-
-def identity_automorphism(field: Field) -> FieldAutomorphism:
-    return FieldAutomorphism(field, None)
 
 
 def frobenius(field: ExtensionField) -> FieldAutomorphism:

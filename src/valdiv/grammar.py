@@ -7,7 +7,9 @@
     cd-list  := "cd"<prime> "=" (int>=0|"inf") ( "," ... )*   (each prime at most once)
     algebra  := "symbol" "(" "n" "=" int>=1 "," "omega" "=" (expr|"auto") ","
                  "a" "=" expr "," "b" "=" expr ")" "over" tower
-    expr     := signed sum of products of integers, fractions and var^exp
+    expr     := sum of products of integers, fractions and var^exp, each product
+                with its own leading minus signs; over F<p>[w]/(f) a product
+                may hold w^exp, exp >= 0, a constant of the base field
     series   := expr with optional truncation markers O(v^k) / O(v^e*w^k)
 
 A description is parsed once, from one token stream, with one expression
@@ -295,7 +297,10 @@ def _parse_expression(tokens: _Tokens, tower: Tower) -> TowerElement:
 
 
 def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
-    coef = Fraction(sign)
+    coef, constant = Fraction(sign), tower.base.one()
+    while tokens.accept("sym", "-"):
+        coef = -coef
+    generator = getattr(tower.base, "var", None)
     exps = [0] * tower.height
     saw = False
     while True:
@@ -313,18 +318,23 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             else:
                 coef *= num
             saw = True
-        elif got and got[0] == "name" and got[1] in tower.variables:
-            name = tokens.next()[1]
+        elif got and got[0] == "name" and got[1] in (*tower.variables, generator):
+            pos, name = tokens.here(), tokens.next()[1]
             e = 1
             if tokens.accept("sym", "^"):
                 e = _parse_int(tokens)
-            exps[tower._var_position(name)] += e
+            if name == generator:
+                if e < 0:
+                    tokens._fail(f"the generator {name!r} takes exponents >= 0", pos)
+                constant = constant * tower.base.generator() ** e
+            else:
+                exps[tower._var_position(name)] += e
             saw = True
         elif got and got[0] == "sym" and got[1] == "(":
             tokens.next()
             inner = _parse_expression(tokens, tower)
             tokens.expect("sym", ")")
-            mono = tower.monomial(tuple(exps), tower.base.element(coef))
+            mono = tower.monomial(tuple(exps), tower.base.element(coef) * constant)
             rest = mono * inner
             if tokens.accept("sym", "*"):
                 return rest * _parse_term(tokens, tower, 1)
@@ -335,7 +345,7 @@ def _parse_term(tokens: _Tokens, tower: Tower, sign: int) -> TowerElement:
             break
     if not saw:
         tokens._fail("expected a term")
-    return tower.monomial(tuple(exps), tower.base.element(coef))
+    return tower.monomial(tuple(exps), tower.base.element(coef) * constant)
 
 
 def _parse_marker(tokens: _Tokens, tower: Tower) -> tuple[tuple[int, ...], int]:
@@ -424,6 +434,8 @@ def _render_term(tower: Tower, exps: tuple[int, ...], coeff: FieldElement) -> st
         return cs
     if cs == "1":
         return "*".join(frags)
+    if " + " in cs:  # a coefficient of several terms of F_p[w]/(f)
+        cs = f"({cs})"
     return cs + "*" + "*".join(frags)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import gcd, isqrt, lcm, prod
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 from .errors import InfiniteIndexError, NotASubgroupError, RankMismatchError, UsageError
@@ -45,7 +45,7 @@ _TRIAL_LIMIT = 1024
 
 def is_prime(n: int) -> bool:
     """Exact primality by strong probable-prime tests to _MR_BASES, which
-    decide below _MR_LIMIT; a probable prime above it is trial-divided."""
+    decide below _MR_LIMIT; a probable prime above it is a UsageError."""
     if n < 2:
         return False
     for q in _MR_BASES:
@@ -64,7 +64,9 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return n < _MR_LIMIT or all(n % d for d in range(43, isqrt(n) + 1, 2))
+    if n >= _MR_LIMIT:
+        raise UsageError(f"cannot decide whether {n} is prime: it is at least {_MR_LIMIT}")
+    return True
 
 
 def _rho_factor(n: int) -> int:

@@ -19,7 +19,6 @@ from .ordered import Lattice, lex_compare, quotient
 from .profiles import FieldProfile, ResidueBase, declared_profile, profile_from_tower
 from .sk1 import (
     _cd_not_exactly_3,
-    certify_norm_one,
     commutator,
     compute_zeta,
     decompose_norm_one,
@@ -39,11 +38,6 @@ def build_symbol_example(n: int, p: int, precision: int = DEFAULT_PRECISION) -> 
 def build_quaternion_example(precision: int = DEFAULT_PRECISION) -> SymbolAlgebra:
     """(2, t) over F5((t)): non-square unit and uniformizer."""
     return parse_algebra("symbol(n=2, omega=-1, a=2, b=t) over F5((t))", precision)
-
-
-def build_rational_quaternion() -> SymbolAlgebra:
-    """(-1, -1) over Q with the trivial valuation."""
-    return parse_algebra("symbol(n=2, omega=-1, a=-1, b=-1) over Q")
 
 
 def run_example(idx: int, precision: int = DEFAULT_PRECISION, seed: int = 0) -> dict:
@@ -170,9 +164,8 @@ def sk1_witness_batch(algebra: SymbolAlgebra, count: int, seed: int) -> list[dic
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        e = _random_norm_one(algebra, rng)
-        cert = certify_norm_one(e)
-        entry: dict = {"element": str(e)}
+        cert = _random_norm_one(algebra, rng)
+        entry: dict = {"element": str(cert.element)}
         try:
             witness = decompose_norm_one(cert, rng)
             entry["witness"] = [
@@ -188,7 +181,7 @@ def sk1_witness_batch(algebra: SymbolAlgebra, count: int, seed: int) -> list[dic
 
 
 def _random_norm_one(algebra: SymbolAlgebra, rng: random.Random):
-    """c * (j c^-1 j^-1) for random invertible c in the span of powers of i."""
+    """c j c^-1 j^-1, certified, for random invertible c in the span of powers of i."""
     n = algebra.degree
     p = algebra.tower.base.char
     while True:
@@ -205,8 +198,7 @@ def _random_norm_one(algebra: SymbolAlgebra, rng: random.Random):
             continue
         if not c.nrd().indistinguishable_from_zero():
             break
-    j = algebra.j()
-    return c * j * c.inv() * j.inv()
+    return commutator(c, algebra.j())
 
 
 # ---------------------------------------------------------------------------
@@ -443,9 +435,8 @@ def _suite_witnesses(rng, cases):
     failures = 0
     alg = build_quaternion_example(16)
     for _ in range(cases):
-        e = _random_norm_one(alg, rng)
         try:
-            witness = decompose_norm_one(certify_norm_one(e), rng)
+            witness = decompose_norm_one(_random_norm_one(alg, rng), rng)
             if not witness.verify():
                 failures += 1
         except DegenerateDecompositionError:

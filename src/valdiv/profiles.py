@@ -28,7 +28,6 @@ class CdResult:
 
     kind: str  # "exact" | "at_most" | "infinite" | "undefined"
     value: int | None = None
-    residue_finite: bool = True
     note: str = ""
 
     def describe(self) -> str:
@@ -88,7 +87,6 @@ class ResidueBase:
                 return CdResult(
                     "undefined",
                     note=f"q = {q} equals the local prime of the base",
-                    residue_finite=False,
                 )
             return CdResult(
                 "at_most",
@@ -100,16 +98,14 @@ class ResidueBase:
             if q not in table:
                 return CdResult(
                     "undefined", note=f"no declared value at q = {q}",
-                    residue_finite=False,
                 )
             v = table[q]
             if v == INF:
-                return CdResult("infinite", residue_finite=False)
+                return CdResult("infinite")
             return CdResult("exact", int(v))
         return CdResult(
             "undefined",
             note="rational base: declare the dimension explicitly",
-            residue_finite=False,
         )
 
     def describe(self) -> str:
@@ -164,7 +160,6 @@ class FieldProfile:
         return CdResult(
             base_cd.kind,
             base_cd.value + self.height,
-            residue_finite=base_cd.residue_finite,
             note=base_cd.note,
         )
 

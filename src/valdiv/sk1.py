@@ -549,7 +549,7 @@ def verdict(
     rank-zero inertially-split fallback, which also needs the caller-supplied
     hint "inertially_split_residue_is_field", since residue algebras are not
     computed in general.  The rank cases and the fallback need cd_q(F)
-    exactly 3, a finite residue dimension and a q-primary degree.  Reports
+    exactly 3 (so a finite residue dimension) and a q-primary degree.  Reports
     "unknown" only when every hypothesis holds and no sufficient condition
     fires; "not_applicable" when a standing hypothesis fails.  The profile
     must have one Laurent layer per level of the report's value group, as r_q
@@ -579,7 +579,7 @@ def verdict(
 
     cd_exact_3 = cd.kind == "exact" and cd.value == 3
     # the standing hypotheses of the paper's rank rules
-    rank_rules = cd_exact_3 and cd.residue_finite and q_primary
+    rank_rules = cd_exact_3 and q_primary
 
     if rank_rules and 1 <= r_q <= 3:
         return Verdict(

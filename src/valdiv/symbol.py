@@ -80,7 +80,6 @@ class SymbolAlgebra:
         # prd's trace route divides by k <= n and is taken on exact inputs only
         char = tower.base.char
         self._trace_route = (char == 0 or char > degree) and a.is_exact() and b.is_exact()
-        self._value_group: Lattice | None = None
         # one i and one j per algebra, so their cached prd and inv are shared
         if degree == 1:
             self._i, self._j = self.scalar(a), self.scalar(b)
@@ -177,17 +176,15 @@ class SymbolAlgebra:
 
     def value_group(self) -> Lattice:
         """Lattice generated by the field's Z^m together with v(i), v(j)."""
-        if self._value_group is None:
-            m = self.tower.height
-            gens = [row for row in Lattice.standard(m).fraction_rows()]
-            if self.degree > 1:
-                gens.append(self.v_of_i())
-                gens.append(self.v_of_j())
-            lat = Lattice.from_generators(m, gens)
-            if not lat.contains_lattice(Lattice.standard(m)):
-                raise InvariantBreachError("value group lost the base lattice")
-            self._value_group = lat
-        return self._value_group
+        m = self.tower.height
+        gens = [row for row in Lattice.standard(m).fraction_rows()]
+        if self.degree > 1:
+            gens.append(self.v_of_i())
+            gens.append(self.v_of_j())
+        lat = Lattice.from_generators(m, gens)
+        if not lat.contains_lattice(Lattice.standard(m)):
+            raise InvariantBreachError("value group lost the base lattice")
+        return lat
 
     def monomial_with_value(self, gamma) -> "AlgebraElement | None":
         """A monomial c * i^k j^l with valuation gamma, or None."""

@@ -5,9 +5,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from fractions import Fraction
 
+from valdiv.grammar import parse_algebra
 from valdiv.pipeline import (
     build_quaternion_example,
-    build_rational_quaternion,
     build_symbol_example,
 )
 from valdiv.symbol import SymbolAlgebra
@@ -25,7 +25,7 @@ def make_quaternion_f5(prec: int = 16) -> SymbolAlgebra:
 
 def make_rational_quaternion() -> SymbolAlgebra:
     """(-1, -1) over Q with the trivial valuation (height-0 tower)."""
-    return build_rational_quaternion()
+    return parse_algebra("symbol(n=2, omega=-1, a=-1, b=-1) over Q")
 
 
 def random_algebra_element(alg, rng, terms=2, span=2, allow_negative=True):

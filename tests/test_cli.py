@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -51,6 +55,27 @@ def test_construction_failure_exit_code(capsys):
     )
     assert code == 1
     assert "error" in json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "--algebra",
+         "symbol(n=2, omega=auto, a=t, b=3) over F3317044064679887385962123((t))"],
+        ["cd", "--profile", "F5((t))", "--q", "3317044064679887385962123"],
+    ],
+)
+def test_a_probable_prime_above_the_miller_rabin_bound_is_an_input_error(argv):
+    """Strong probable-prime tests decide primality only below
+    3317044064679887385961981; above it the command refuses the number
+    (exit 2, a JSON error) instead of trial-dividing up to its square root."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-m", "valdiv.cli", *argv], env=env, capture_output=True, text=True, timeout=30
+    )
+    assert done.returncode == 2
+    assert "error" in json.loads(done.stdout)
 
 
 def test_classify_command(capsys):

@@ -342,6 +342,27 @@ def test_golden_grammar_corpus():
     assert [case for case in mismatched if case not in refused] == []
 
 
+def test_golden_grammar_values_parse_back_to_themselves():
+    """Each frozen printed value is a description the grammar reads back to
+    the same value, negative coefficients over Q included, except the fields
+    of reducible random moduli that Rabin's test refuses."""
+    frozen = json.loads((DATA / "golden_grammar.json").read_text())
+    unread = []
+    for case in frozen:
+        if "value" not in case:
+            continue
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # Q moduli: irreducibility is trusted
+            try:
+                got = {"value": _parse_case({**case, "text": case["value"]})}
+            except ValdivError as exc:
+                got = {"error": type(exc).__name__, "message": str(exc)}
+        if got != {"value": case["value"]}:
+            unread.append(got)
+    assert len(unread) == 23
+    assert all(map(_refused_as_reducible_above_degree_four, unread))
+
+
 def _refused_as_reducible_above_degree_four(got):
     """A ParseError refusing a modulus of degree >= 5 over F_p as reducible,
     for a polynomial that trial division does factor."""

@@ -84,6 +84,24 @@ def test_valuation_examples():
     assert ((x + y) * y).valuation() == (1, 1)
 
 
+def test_infinite_valuation_is_above_every_valuation_and_equals_only_itself():
+    inf = INFINITE_VALUATION
+    values = [(-3,), (0,), (10**9,), (0, 1), (2, -5)]
+    for v in values:
+        assert inf > v and inf >= v and not inf < v and not inf <= v
+        assert v < inf and v <= inf and not v > inf and not v >= inf
+        assert inf != v and v != inf
+    assert sorted([inf] + values)[-1] is inf
+    assert sorted(values + [inf], reverse=True)[0] is inf
+    assert min(inf, (7,)) == (7,) and max((7,), inf) is inf
+    assert inf == inf and inf <= inf and inf >= inf
+    assert not inf > inf and not inf < inf
+    assert inf != 0 and inf != float("inf") and inf != "infinity" and inf is not None
+    assert inf == copy.copy(inf) and hash(inf) == hash(copy.copy(inf)) == hash(inf)
+    assert {inf: 1}[inf] == 1 and len({inf, copy.deepcopy(inf)}) == 1
+    assert repr(inf) == str(inf) == "infinity"
+
+
 def test_series_product_in_f5():
     tow = t_f5()
     t = tow.var("t")
@@ -371,9 +389,7 @@ def test_central_indeterminate():
     with pytest.raises(FieldConstructionError):
         central_indeterminate(ring, m=1)
     # with the identity twist, t itself is central at m=1
-    from valdiv.fields import identity_automorphism
-
-    plain = TwistedSeriesRing(F9, identity_automorphism(F9))
+    plain = TwistedSeriesRing(F9, FieldAutomorphism(F9))
     x1 = central_indeterminate(plain, m=1)
     assert x1 == plain.t()
     assert x1.is_central()

@@ -251,6 +251,33 @@ def test_parse_algebra_and_round_trip():
     assert parse_algebra(print_algebra(quat)) == quat
 
 
+@pytest.mark.parametrize("field", ["F5[w]/(w^2+2)", "F7[w]/(w^2+1)"])
+@pytest.mark.parametrize("n", [4, 8])
+def test_algebras_over_an_extension_field_parse_back(field, n):
+    """Slots may name the field's generator, so omega=auto's choice (2 + 2*w
+    at n = 8 over F7[w]/(w^2+1)) parses back, and a coefficient of several
+    terms prints in parentheses, so (1 + w)*t is not read as 1 + w*t."""
+    alg = parse_algebra(f"symbol(n={n}, omega=auto, a=t, b=3 + (1 + w)*t + w^2*t^2) over {field}((t))")
+    text = print_algebra(alg)
+    assert "(1 + w)*t" in text
+    assert parse_algebra(text) == alg
+    assert print_algebra(parse_algebra(text)) == text
+
+
+@pytest.mark.filterwarnings("ignore::valdiv.fields.IrreducibilityWarning")
+def test_negative_coefficients_and_generator_exponents():
+    alg = parse_algebra("symbol(n=2, omega=-1, a=1-t, b=t) over Q((t))")
+    assert print_algebra(alg) == "symbol(n=2, omega=-1, a=1 + -1*t, b=t) over Q((t))"
+    assert parse_algebra(print_algebra(alg)) == alg
+    field = parse_field("Q[u]/(u + 3*u^2 - 2*u^3 + u^5)")
+    assert field.describe() == "Q[u]/(u + 3*u^2 + -2*u^3 + u^5)"
+    assert parse_field(field.describe()) == field
+    tower = parse_tower("F7[w]/(w^2+1)((t))")
+    assert parse_series("w^3*t - -w", tower) == parse_series("6*w*t + w", tower)
+    with pytest.raises(ParseError, match=r"^the generator 'w' takes exponents >= 0 \(line 1, col 2\)$"):
+        parse_series("t*w^-1", tower)
+
+
 def test_parse_description_dispatch():
     assert isinstance(parse_description("symbol(n=2, omega=-1, a=2, b=t) over F5((t))"), SymbolAlgebra)
     assert isinstance(parse_description("decl(cd2=1)((x))((y))"), FieldProfile)

@@ -746,7 +746,7 @@ def test_witness_batch_job_products(monkeypatch, text, counts):
         return real(alg, pairs)
 
     monkeypatch.setattr(symbol, "_sum_of_products", products)
-    monkeypatch.setattr(pipeline, "certify_norm_one", staged("norm", certify_norm_one))
+    monkeypatch.setattr(sk1, "certify_norm_one", staged("norm", certify_norm_one))
     monkeypatch.setattr(sk1, "hilbert90_decompose", staged("resolvent", sk1.hilbert90_decompose))
     monkeypatch.setattr(CommutatorWitness, "verify", staged("verify", CommutatorWitness.verify))
     (entry,) = sk1_witness_batch(alg, count=1, seed=0)
