@@ -56,7 +56,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _prime(text: str) -> int:
-    if not (text.isdigit() and is_prime(int(text))):
+    """The --q type; a number too large to decide keeps is_prime's reason."""
+    try:
+        prime = text.isdigit() and is_prime(int(text))
+    except UsageError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if not prime:
         raise argparse.ArgumentTypeError(f"expected a prime, got {text!r}")
     return int(text)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FieldConstructionError, ParseError
+from .errors import FieldConstructionError, ParseError, UsageError
 from .fields import (
     QQ,
     ExtensionField,
@@ -128,14 +128,24 @@ def parse_field(text: str) -> Field:
     return _parse_whole(text, _parse_field_base)
 
 
+def _check_prime(tokens: _Tokens, n: int, message: str, pos: int) -> None:
+    """Fail at pos with message when n is not a prime, and with the reason
+    of is_prime when it cannot decide."""
+    try:
+        prime = is_prime(n)
+    except UsageError as exc:
+        tokens._fail(str(exc), pos)
+    if not prime:
+        tokens._fail(message, pos)
+
+
 def _parse_field_base(tokens: _Tokens) -> Field:
     name = tokens.expect("name")
     if name == "Q":
         base: Field = QQ
     elif re.fullmatch(r"F\d+", name):
         p = int(name[1:])
-        if not is_prime(p):
-            tokens._fail(f"{name} is not a prime field", tokens.items[tokens.idx - 1][2])
+        _check_prime(tokens, p, f"{name} is not a prime field", tokens.items[tokens.idx - 1][2])
         base = PrimeField(p)
     else:
         tokens._fail(f"unknown field base {name!r}")
@@ -214,8 +224,7 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
         tokens.expect("name", "p")
         tokens.expect("sym", "=")
         pos, p = tokens.here(), _parse_int(tokens)
-        if not is_prime(p):
-            tokens._fail(f"p must be a prime, got {p}", pos)
+        _check_prime(tokens, p, f"p must be a prime, got {p}", pos)
         tokens.expect("sym", ")")
         base = ResidueBase("padic", p=p)
     elif name == "C":
@@ -231,8 +240,7 @@ def _parse_profile_inner(tokens: _Tokens) -> FieldProfile:
             if not m:
                 tokens._fail(f"expected cd<q>=<value>, found {key!r}", pos)
             q = int(m.group(1))
-            if not is_prime(q):
-                tokens._fail(f"{key}: {q} is not a prime", pos)
+            _check_prime(tokens, q, f"{key}: {q} is not a prime", pos)
             if q in entries:
                 tokens._fail(f"cd{q} is declared twice", pos)
             tokens.expect("sym", "=")

@@ -425,11 +425,23 @@ def _sum(a: LaurentSeries, b: LaurentSeries, negate: bool = False) -> LaurentSer
 
 
 def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
-    """Add a*b into acc = [coeffs, bound] of a's ring: by Kronecker
-    substitution when the ring packs and the operands are dense enough, else
-    by the pair loop.  An exact zero factor adds nothing, not even a bound."""
+    """Add a*b into acc = [coeffs, bound] of a's ring.  An exact zero factor
+    adds nothing, not even a bound.
+
+    In an untwisted ring, when exactly one factor is truncated in the outer
+    variable and the other is exact with at most two field terms, the
+    product is one shifted, scaled copy of the truncated factor per field
+    term (_add_shifted).  Otherwise it goes by Kronecker substitution when
+    the ring packs and the operands are dense enough, else by the pair loop.
+    """
     if a.is_zero() or b.is_zero():
         return
+    if a.ring.sigma is None and (a.bound is None) != (b.bound is None):
+        s, m = (a, b) if b.bound is None else (b, a)
+        terms = _small_exact_terms(m)
+        if terms is not None:
+            _add_shifted(acc, s.ring, s, terms)
+            return
     packing = a.ring.packing
     if (
         packing is None
@@ -437,6 +449,76 @@ def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
         or not _kronecker_mul_into(acc, a, b, packing)
     ):
         _mul_into(acc, a, b)
+
+
+def _small_exact_terms(s: LaurentSeries):
+    """The field terms of s as (exponents outermost first, representative)
+    when s is exact and has at most two of them, else None."""
+    terms, stack = [], [((), s)]
+    while stack:
+        path, node = stack.pop()
+        if node.bound is not None or len(node.coeffs) > 2:
+            return None
+        if isinstance(node.ring.coeff_ring, Field):
+            if len(terms) + len(node.coeffs) > 2:
+                return None
+            terms += [(path + (e,), c.rep) for e, c in node.coeffs.items()]
+        else:
+            stack += [(path + (e,), c) for e, c in node.coeffs.items()]
+    return terms
+
+
+def _add_shifted(acc: list, ring: SeriesRing, s, terms: list) -> None:
+    """Add s*m into acc of ring for an exact m given by its field terms: one
+    copy of s per term, its exponents shifted by the term's and its
+    coefficients scaled by the term's representative.  s is a series of
+    ring or an accumulator of it.
+
+    The windows are the pair loop's.  The outer bound is set first, from
+    the least outer exponent of m, by the rule of _product_bound.  Below it a
+    copy lowers the bound of every child it reaches to the bound of s's
+    child plus the term's exponent at that level: a child of m holding one
+    term has that exponent as its least, and one holding both terms has the
+    lesser of the two, which the other copy brings.  No child or term lands
+    at or above a bound so set, which leaves out the terms an accumulator
+    holds at or above its own bounds.
+    """
+    boxed = isinstance(s, LaurentSeries)
+    coeffs, bound = (s.coeffs, s.bound) if boxed else s
+    if bound is not None:
+        outer = bound + min(path[0] for path, _ in terms)
+        if acc[1] is None or outer < acc[1]:
+            acc[1] = outer
+    field = ring.coeff_ring
+    while isinstance(field, SeriesRing):
+        field = field.coeff_ring
+    for path, rep in terms:
+        _add_copy(acc, coeffs, path, rep, field, boxed)
+
+
+def _add_copy(acc: list, coeffs: dict, path: tuple, rep, field, boxed: bool) -> None:
+    out, limit = acc
+    shift = path[0]
+    if len(path) == 1:
+        mul, add = field._mul, field._add
+        for e, c in coeffs.items():
+            e += shift
+            if limit is None or e < limit:
+                r = mul(c.rep if boxed else c, rep)
+                out[e] = add(out[e], r) if e in out else r
+        return
+    inner = path[1]
+    for e, c in coeffs.items():
+        e += shift
+        if limit is not None and e >= limit:
+            continue
+        kids, kid_bound = (c.coeffs, c.bound) if boxed else c
+        child = out.get(e)
+        if child is None:
+            child = out[e] = [{}, None]
+        if kid_bound is not None and (child[1] is None or kid_bound + inner < child[1]):
+            child[1] = kid_bound + inner
+        _add_copy(child, kids, path[1:], rep, field, boxed)
 
 
 class ProductSum:
@@ -603,8 +685,9 @@ def _window_into(out: dict, bound, a_kids: list, b_kids: list) -> None:
     """Set the windows below an accumulator whose children are out.
 
     Every pair of surveyed children landing below bound gets the child
-    accumulator at its exponent, whose bound _product_bound lowers, and so on
-    down the levels.  The children are sorted, so each loop stops at bound.
+    accumulator at its exponent, whose bound the rule of _product_bound,
+    written out here, lowers, and so on down the levels.  The children are
+    sorted, so each loop stops at bound.
     """
     for e1, (a_low, a_bound, a_grand) in a_kids:
         if bound is not None and e1 + b_kids[0][0] >= bound:
@@ -616,7 +699,10 @@ def _window_into(out: dict, bound, a_kids: list, b_kids: list) -> None:
             child = out.get(e)
             if child is None:
                 child = out[e] = [{}, None]
-            child[1] = _product_bound(child[1], a_low, a_bound, b_low, b_bound)
+            if a_bound is not None and (child[1] is None or a_bound + b_low < child[1]):
+                child[1] = a_bound + b_low
+            if b_bound is not None and (child[1] is None or b_bound + a_low < child[1]):
+                child[1] = b_bound + a_low
             if a_grand and b_grand:
                 _window_into(child[0], child[1], a_grand, b_grand)
 
@@ -749,6 +835,18 @@ def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
         for e, r in coeffs.items():
             if (bound is None or e < bound) and not is_zero(r):
                 clean[e] = FieldElement(inner, r)
+    elif isinstance(inner.coeff_ring, Field):  # the children's terms are field elements
+        field, make = inner.coeff_ring, inner.series_class
+        is_zero = field._is_zero
+        for e, (kids, kid_bound) in coeffs.items():
+            if bound is None or e < bound:
+                kids = {
+                    x: FieldElement(field, r)
+                    for x, r in kids.items()
+                    if (kid_bound is None or x < kid_bound) and not is_zero(r)
+                }
+                if kids or kid_bound is not None:  # not an exact zero
+                    clean[e] = make(inner, kids, kid_bound)
     else:
         for e, c in coeffs.items():
             if bound is None or e < bound:

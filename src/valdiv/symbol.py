@@ -35,7 +35,18 @@ from .errors import (
     UnsupportedFieldError,
 )
 from .fields import FieldElement, _binary_power, has_order
-from .laurent import INFINITE_VALUATION, ProductSum, Tower, TowerElement, unit_is_square
+from .laurent import (
+    INFINITE_VALUATION,
+    ProductSum,
+    SeriesRing,
+    Tower,
+    TowerElement,
+    _add_product,
+    _add_shifted,
+    _kronecker_mul_into,
+    _small_exact_terms,
+    unit_is_square,
+)
 from .ordered import Lattice, QuotientStructure, _prime_factors, quotient
 
 
@@ -79,7 +90,17 @@ class SymbolAlgebra:
         self._splitting_verified = False
         # prd's trace route divides by k <= n and is taken on exact inputs only
         char = tower.base.char
-        self._trace_route = (char == 0 or char > degree) and a.is_exact() and b.is_exact()
+        self._exact_slots = a.is_exact() and b.is_exact()
+        self._trace_route = (char == 0 or char > degree) and self._exact_slots
+        # the packed rows of _sum_of_products: tower series in a power of i
+        ring = tower.top_ring()
+        packs = self._exact_slots and getattr(ring, "packing", None) is not None
+        self._row_ring = SeriesRing(ring, "i") if packs else None
+        # a and b as wraps, with their field terms when shifted copies apply
+        self._wraps = [
+            (c.payload, _small_exact_terms(c.payload) if isinstance(ring, SeriesRing) else None)
+            for c in (a, b)
+        ]
         # one i and one j per algebra, so their cached prd and inv are shared
         if degree == 1:
             self._i, self._j = self.scalar(a), self.scalar(b)
@@ -570,37 +591,133 @@ def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
     """The sum of the normal-form products x*y over the pairs (x, y), via
     j^l i^k = omega^(lk) i^k j^l.
 
-    The pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds omega^m c1 c2, m = l1 k2,
-    to the key (k1 + k2, l1 + l2), times a or b where i^n or j^n wraps.
-    Each key has one ProductSum, created when a pair first meets it.  The
-    phase scales c1, once per phase while c1's row is walked.  A wrap
-    pair's product is ((c1 c2) a) b, the last factor going to the sum.
+    The term pair (c1 i^k1 j^l1, c2 i^k2 j^l2) adds c1 omega^m c2, m = l1 k2,
+    to the cell i^(k1+k2) j^(l1+l2) (_cell); a cell past i^(n-1) or j^(n-1)
+    is folded into its key by a and b (_fold_wraps).  The pair loop adds
+    each term pair's product.  For exact a and b in a ring that packs, a
+    pair (x, y) with a coefficient truncated in the top variable instead
+    adds one Kronecker product per pair of rows of j-degree (_add_rows).
+
+    Windows.  With exact a and b the cells of all pairs are folded once, at
+    the end.  That gives the windows of ((c1 c2) a) b summed pair by pair:
+    by the rule of _product_bound, s*m for an exact m has at every level the
+    bound of s plus the least exponent of m, never reading the least
+    exponent of s, and a sum's bound is the least bound of its summands.
+    A truncated a or b would read the least exponent of a sum, which
+    cancellation can raise, so then each wrapping term pair is folded alone.
     """
-    n, tower = alg.degree, alg.tower
-    ring, a, b = tower.top_ring(), alg.a.payload, alg.b.payload
+    n, ring = alg.degree, alg.tower.top_ring()
     sums: dict = {}
+    cells: dict = {}
     for x, y in pairs:
+        scaled: dict = {}
+        rows: dict = {}  # j-degree -> i-degree -> accumulator, for _add_rows
+        packed = alg._row_ring is not None and (_truncated(x) or _truncated(y))
         for (k1, l1), c1 in x.coeffs.items():
-            phased = {0: c1.payload}
-            for (k2, l2), c2 in y.coeffs.items():
-                m = (l1 * k2) % n
-                left = phased.get(m)
-                if left is None:
-                    left = phased[m] = c1.scale(alg._omega_pow[m]).payload
-                right, k, l = c2.payload, k1 + k2, l1 + l2
-                if k >= n:
-                    left, right = left * right, a
-                    k -= n
-                if l >= n:
-                    left, right = left * right, b
-                    l -= n
-                total = sums.get((k, l))
-                if total is None:
-                    total = sums[(k, l)] = ProductSum(ring)
-                total.add(left, right)
+            for key, c2 in y.coeffs.items():
+                k, l = k1 + key[0], l1 + key[1]
+                cell = sums.get((k, l)) or _cell(sums, cells, ring, n, k, l)
+                if packed:
+                    rows.setdefault(l, {})[k] = cell.acc
+                    continue
+                cell.add(c1.payload, _phased(alg, scaled, l1, key, c2))
+                if cells and not alg._exact_slots:
+                    _fold_wraps(alg, sums, cells)
+        if packed:
+            _add_rows(alg, x, y, rows, scaled)
+    if cells:
+        _fold_wraps(alg, sums, cells)
     return AlgebraElement(
-        alg, {kl: TowerElement(tower, s.result()) for kl, s in sums.items()}
+        alg, {kl: TowerElement(alg.tower, s.result()) for kl, s in sums.items()}
     )
+
+
+def _truncated(x: AlgebraElement) -> bool:
+    """Whether a coefficient of x is truncated in the top variable."""
+    for c in x.coeffs.values():
+        if c.payload.bound is not None:
+            return True
+    return False
+
+
+def _phased(alg: SymbolAlgebra, scaled: dict, l1: int, key: tuple, c2: TowerElement):
+    """The payload of omega^m c2, m = l1 k2, for the term c2 i^k2 j^l2 of y
+    at key = (k2, l2) passing j^l1, scaled once per phase and key into the
+    dict scaled of one pair (x, y)."""
+    m = l1 * key[0] % alg.degree
+    if not m:
+        return c2.payload
+    got = scaled.get((m, key))
+    if got is None:
+        got = scaled[(m, key)] = c2.scale(alg._omega_pow[m]).payload
+    return got
+
+
+def _cell(sums: dict, cells: dict, ring, n: int, k: int, l: int) -> ProductSum:
+    """The ProductSum of the cell i^k j^l, 0 <= k, l < 2n - 1: the sum of
+    the key (k, l) itself when k, l < n.  A key's sum is created when a term
+    pair first meets it, so the keys come in the order the pairs meet them."""
+    key = (k - n if k >= n else k, l - n if l >= n else l)
+    total = sums.get(key)
+    if total is None:
+        total = sums[key] = ProductSum(ring)
+    if k < n and l < n:
+        return total
+    cell = cells.get((k, l))
+    if cell is None:
+        cell = cells[(k, l)] = ProductSum(ring)
+    return cell
+
+
+def _fold_wraps(alg: SymbolAlgebra, sums: dict, cells: dict) -> None:
+    """Fold the cells into the sums of their keys and empty them: i^n = a
+    first, into the cell i^(k-n) j^l, then j^n = b.  Each cell is multiplied
+    once; by an a or b of at most two field terms as shifted copies of its
+    accumulator, which is then never boxed."""
+    n, ring = alg.degree, alg.tower.top_ring()
+    for (k, l), cell in list(cells.items()):
+        if k >= n:
+            _wrap(cell, _cell(sums, cells, ring, n, k - n, l), *alg._wraps[0])
+    for (k, l), cell in cells.items():
+        if k < n:
+            _wrap(cell, sums[(k, l - n)], *alg._wraps[1])
+    cells.clear()
+
+
+def _wrap(cell: ProductSum, target: ProductSum, factor, terms) -> None:
+    if terms is None:
+        target.add(cell.result(), factor)
+    else:
+        _add_shifted(target.acc, target.ring, cell.acc, terms)
+
+
+def _add_rows(alg: SymbolAlgebra, x, y, rows: dict, scaled: dict) -> None:
+    """Add x*y into the cell accumulators rows[l][k] by rows of j-degree.
+
+    With x_l(alpha) = sum_k c_kl alpha^k, the rows l1 and l2 add
+    x_l1(alpha) y_l2(omega^l1 alpha) at j^(l1+l2): one series product in
+    the tower ring with alpha as one more, outer variable, whose child at
+    alpha^k is the cell i^k j^(l1+l2).  It is taken by Kronecker
+    substitution at any term count, else per pair of terms.  Its windows are
+    those of the pair loop, because a sum's bound is the least of its
+    summands' at every level.
+    """
+    ring = alg._row_ring
+    rows_x: dict = {}
+    rows_y: dict = {}
+    for (k, l), c in x.coeffs.items():
+        rows_x.setdefault(l, {})[k] = c.payload
+    for key, c in y.coeffs.items():
+        rows_y.setdefault(key[1], {})[key[0]] = (key, c)
+    for l1, row in rows_x.items():
+        left = ring.series_class(ring, row, None)
+        for l2, terms in rows_y.items():
+            phased = {k: _phased(alg, scaled, l1, key, c) for k, (key, c) in terms.items()}
+            acc, right = [rows[l1 + l2], None], ring.series_class(ring, phased, None)
+            if not _kronecker_mul_into(acc, left, right, ring.packing):
+                for k1, c1 in row.items():
+                    for k2, c2 in phased.items():
+                        _add_product(acc[0][k1 + k2], c1, c2)
 
 
 def _norm_prefixes(a, sigma, count: int) -> list:

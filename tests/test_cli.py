@@ -78,6 +78,28 @@ def test_a_probable_prime_above_the_miller_rabin_bound_is_an_input_error(argv):
     assert "error" in json.loads(done.stdout)
 
 
+_UNDECIDED = "3317044064679887385962123"  # a probable prime above the Miller-Rabin bound
+
+
+@pytest.mark.parametrize(
+    "argv, where",
+    [
+        (["cd", "--profile", "F5((t))", "--q", _UNDECIDED], "argument --q: "),
+        (["classify", "--algebra",
+          f"symbol(n=2, omega=auto, a=t, b=3) over F{_UNDECIDED}((t))"], "(line 1, col 39)"),
+        (["cd", "--profile", f"Qp(p={_UNDECIDED})((t))", "--q", "3"], "(line 1, col 5)"),
+        (["cd", "--profile", f"decl(cd{_UNDECIDED}=1)", "--q", "3"], "(line 1, col 5)"),
+    ],
+)
+def test_an_undecided_primality_keeps_its_reason_and_its_position(capsys, argv, where):
+    """The refusal names the number and why it is refused: as the --q
+    argument it says so, and in a description it points at the number."""
+    error = _assert_input_error(capsys, *argv)
+    assert f"cannot decide whether {_UNDECIDED} is prime" in error
+    assert where in error
+    assert "_prime" not in error
+
+
 def test_classify_command(capsys):
     code, out = _run(
         capsys,

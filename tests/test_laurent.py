@@ -42,6 +42,7 @@ from oracles import (
     brute_force_squares,
     budget_hensel_sqrt,
     naive_series_product,
+    pairwise_algebra_product,
     series_invariant_breaches,
     series_plain,
     square_roots,
@@ -951,8 +952,9 @@ def test_cached_packing_follows_each_partner(monkeypatch, p, height, truncate):
 
 def test_algebra_product_surveys_and_sorts_each_series_once(monkeypatch):
     """x*y for dense truncated coefficients in an n = 3 algebra over
-    F7((x))((y)): each right-hand tower coefficient meets the nine left ones
-    on the Kronecker path, and no series is surveyed or sorted twice."""
+    F7((x))((y)): each of the three rows of j-degree of x meets each of y's
+    on the Kronecker path, as one series in a power of i, and no series is
+    surveyed or sorted twice."""
     alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
     tower = alg.tower
     dense = (tower.one() + tower.var("x") + tower.var("y")).inv()
@@ -983,9 +985,76 @@ def test_algebra_product_surveys_and_sorts_each_series_once(monkeypatch):
     monkeypatch.undo()
     assert len({id(s) for s in surveyed}) == len(surveyed)
     assert len({id(d) for d in sorted_dicts}) == len(sorted_dicts) > 0
-    ids = {id(s) for s in surveyed}
-    assert all(id(c.payload) in ids for c in y.coeffs.values())
-    assert product == x * y
+    assert len(surveyed) == 3 + 3 * 3
+    assert {s.ring.height for s in surveyed} == {tower.height + 1}
+    assert product == x * y == pairwise_algebra_product(x, y)
+
+
+# --- exact small factors as shifted copies ---------------------------------------
+
+
+def _small_factors(tower, rng):
+    """Exact factors of one and two field terms: 1, a monomial, two terms in
+    one outer child and in two, and the innermost plus the outermost
+    variable (2x at height 1)."""
+    height = tower.height
+
+    def monomial(exps=None):
+        exps = exps or tuple(rng.randint(-2, 2) for _ in range(height))
+        return tower.monomial(exps, _nonzero_coefficient(tower.base, rng)).payload
+
+    outer = rng.randint(-2, 2)
+    inner = [tuple([outer] + [rng.randint(-2, 2) for _ in range(height - 1)]) for _ in range(2)]
+    apart = [(outer,) + inner[0][1:], (outer + 1 + rng.randint(0, 2),) + inner[1][1:]]
+    factors = [tower.one().payload, monomial(), monomial(apart[0]) + monomial(apart[1])]
+    if height > 1 and inner[0] != inner[1]:
+        factors.append(monomial(inner[0]) + monomial(inner[1]))
+    factors.append((tower.var("x") + tower.var(tower.variables[-1])).payload)
+    return factors
+
+
+@pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
+@pytest.mark.parametrize("height", [1, 2, 3])
+def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
+    """A truncated series times an exact factor of at most two field terms,
+    on either side, alone and added to a ProductSum that already holds a
+    product, equals the naive pair loop in every coefficient and bound at
+    every level, bound-only children included; the shifted copies made it."""
+    rng = random.Random(f"shifted {field}/{height}")
+    tower = Tower(field, ["x", "y", "z"][:height])
+    ring = tower.top_ring()
+    shifted = _spy(monkeypatch, laurent, "_add_shifted")
+    checked = 0
+    while checked < {1: 60, 2: 40, 3: 20}[height]:
+        s = _random_series(ring, rng)
+        if s.bound is None:
+            continue
+        checked += 1
+        held = _random_series(ring, rng), _random_series(ring, rng)
+        for m in _small_factors(tower, rng):
+            for x, y in ((s, m), (m, s)):
+                assert series_plain(x * y) == naive_series_product(x, y)
+                total = laurent.ProductSum(ring)
+                total.add(*held)
+                total.add(x, y)
+                want = _naive_sum(naive_series_product(*held), naive_series_product(x, y))
+                assert series_plain(total.result()) == want
+                assert series_invariant_breaches(total.result()) == []
+    assert len(shifted) >= checked * 4
+
+
+def test_twisted_products_take_no_shifted_copies(monkeypatch):
+    """sigma^e1 acts on the right factor's terms, so a twisted ring keeps the
+    pair loop for exact small factors."""
+    ring = twisted_ring()
+    rng = random.Random("twisted small factors")
+    shifted = _spy(monkeypatch, laurent, "_add_shifted")
+    for _ in range(100):
+        s = _random_series(ring, rng)
+        m = ring.series({e: _random_coefficient(F9, rng) for e in rng.sample(range(-2, 3), 2)})
+        for x, y in ((s, m), (m, s)):
+            assert series_plain(x * y) == naive_series_product(x, y)
+    assert shifted == []
 
 
 # --- inversion on representatives ---------------------------------------------

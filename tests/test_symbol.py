@@ -18,7 +18,7 @@ from valdiv.errors import (
 )
 from valdiv.fields import QQ, ExtensionField, PrimeField, primitive_root_of_unity
 from valdiv.grammar import parse_algebra
-from valdiv.laurent import INFINITE_VALUATION, Tower
+from valdiv.laurent import INFINITE_VALUATION, Tower, TowerElement
 from valdiv.ordered import Lattice, quotient
 from valdiv.symbol import AlgebraElement, SymbolAlgebra, quaternion_is_division
 
@@ -636,6 +636,120 @@ def test_sums_of_products_match_the_pairwise_sums(monkeypatch, base, height, n):
     # Kronecker gate
     assert paths["loop"] > 0
     assert paths["kronecker"] > 0 or base != "F61"
+
+
+# (a, b) with {o} the outermost variable, 2 at height 1: exact slots of one
+# and two terms
+_EXACT_SLOTS = [("x", "{o}"), ("x+{o}", "{o}"), ("x", "x+{o}")]
+_ROW_CASES = [
+    (base, height, n, _EXACT_SLOTS[(height + n) % 3])
+    for base, degrees in (("F61", range(2, 7)), ("F7[w]/(w^3-2)", (2, 3, 6)))
+    for height in (1, 2, 3)
+    for n in degrees
+]
+
+
+def _spread_element(alg):
+    """Every key of j-degree 0 holds x^-s ... + x^s ... + O(outer^(s+2)),
+    s = 40 / height: two terms so far apart that the rows' product is too
+    sparse for Kronecker substitution."""
+    tower = alg.tower
+    h = tower.height
+    wide = tower.monomial((-40 // h,) * h) + tower.monomial((40 // h,) * h)
+    ring = tower.top_ring()
+    c = TowerElement(tower, ring.series(dict(wide.payload.coeffs), 40 // h + 2))
+    return alg.element({(k, 0): c for k in range(alg.degree)})
+
+
+def _spied_kernels(monkeypatch):
+    """Spies on the packed rows: the pairs (x, y) they took, and the
+    results of the Kronecker products of rows (series in one more variable
+    than the tower has)."""
+    rows, row_products = [], []
+    real_rows, real_kronecker = symbol._add_rows, symbol._kronecker_mul_into
+
+    def add_rows(alg, x, y, *args):
+        rows.append((x, y))
+        return real_rows(alg, x, y, *args)
+
+    def kronecker(acc, a, *args):
+        took = real_kronecker(acc, a, *args)
+        row_products.append(took)
+        return took
+
+    monkeypatch.setattr(symbol, "_add_rows", add_rows)
+    monkeypatch.setattr(symbol, "_kronecker_mul_into", kronecker)
+    return rows, row_products
+
+
+@pytest.mark.parametrize(
+    "base, height, n, slots",
+    _ROW_CASES,
+    ids=[f"{b}/h{h}/n{n}/{s[0]},{s[1]}" for b, h, n, s in _ROW_CASES],
+)
+def test_packed_rows_match_the_pairwise_sums(monkeypatch, base, height, n, slots):
+    """With exact a and b in a ring that packs, products with a truncated
+    coefficient take one product per pair of rows of j-degree, and the rest
+    the pair loop; both equal the pairwise oracles in every coefficient,
+    every bound at every level and the key order, for algebra products,
+    scalar parts and L-dot products of splitting-matrix rows and columns.
+    Rows too sparse to pack are multiplied per pair of terms."""
+    variables = _VARIABLES[:height]
+    outer = variables[-1] if height > 1 else "2"
+    a, b = (slot.format(o=outer) for slot in slots)
+    tower = "".join(f"(({v}))" for v in variables)
+    alg = parse_algebra(f"symbol(n={n}, omega=auto, a={a}, b={b}) over {base}{tower}", 8)
+    rng = random.Random(f"rows {base}/{height}/{n}/{slots}")
+    operands = _product_sum_operands(alg, rng)
+    operands[0] = random_algebra_element(alg, rng, terms=3)  # exact, no truncated coefficient
+    operands.append(_spread_element(alg))
+    rows, row_products = _spied_kernels(monkeypatch)
+    for x in operands:
+        for y in operands:
+            product = x * y
+            assert _algebra_plain(product) == _algebra_plain(pairwise_algebra_product(x, y))
+            scalar = symbol._scalar_of_product(x, y)
+            want = pairwise_algebra_product(x, y).scalar_part()
+            assert series_plain(scalar.payload) == series_plain(want.payload)
+    for x, y in zip(operands, operands[::-1]):
+        for row in x.splitting_matrix():
+            for col in zip(*y.splitting_matrix()):
+                got = symbol._sum_of_products(alg, zip(row, col))
+                assert _algebra_plain(got) == _algebra_plain(pairwise_l_dot(alg, row, col))
+    # x * y by rows exactly when x or y has a truncated coefficient
+    took = {(id(x), id(y)) for x, y in rows}
+    assert (id(operands[0]), id(operands[0])) not in took
+    assert all((id(x), id(y)) in took for x in operands for y in operands[1:])
+    assert True in row_products and False in row_products
+
+
+@pytest.mark.parametrize("base, height, n", [("F61", 2, 3), ("Q", 2, 2), ("F7[w]/(w^3-2)", 1, 3)])
+def test_truncated_slots_and_q_towers_keep_the_pair_loop(monkeypatch, base, height, n):
+    """A truncated slot, and a tower over Q, which does not pack, take no
+    packed rows."""
+    algebras = [_product_sum_algebra(base, height, n)]
+    if base == "Q":
+        algebras.append(parse_algebra("symbol(n=2, omega=-1, a=x, b=y) over Q((x))((y))", 8))
+    rows, row_products = _spied_kernels(monkeypatch)
+    for alg in algebras:
+        operands = _product_sum_operands(alg, random.Random(f"pairwise {base}"))
+        for x in operands:
+            for y in operands:
+                assert _algebra_plain(x * y) == _algebra_plain(pairwise_algebra_product(x, y))
+    assert rows == row_products == []
+
+
+def test_a_truncated_slot_wraps_each_term_pair_alone():
+    """1*a + (x - 1)*a with a = x + O(x^3): folded together, the sum x of
+    the two cells would meet a at the window O(x^4); pair by pair, each
+    product has O(x^3), as the pairwise sum has."""
+    alg = parse_algebra("symbol(n=2, omega=-1, a=x + O(x^3), b=x) over F61((x))", 8)
+    one, x = alg.tower.one(), alg.tower.var("x")
+    i = alg.i()
+    rights = [alg.monomial(1, 0, one), alg.monomial(1, 0, x - one)]
+    got = symbol._sum_of_products(alg, zip([i, i], rights))
+    assert _algebra_plain(got) == _algebra_plain(pairwise_l_dot(alg, [i, i], rights))
+    assert got.coeffs[(0, 0)].payload.bound == 3
 
 
 def test_sum_of_products_leaves_out_keys_no_product_reaches():
