@@ -1,6 +1,6 @@
 """Run every frozen job of the named benchmark workloads and compare digests.
 
-    python .github/frozen_catalogs.py witness_tower norms_degree
+    python .github/frozen_catalogs.py witness_tower norms_degree series_precision cli_requests
 
 Each catalog job of each named workload runs once, in catalog order, and
 its digest must equal perfbench/reference.json, which is read, never

@@ -498,6 +498,10 @@ def _parse_algebra_inner(tokens: _Tokens, default_prec: int) -> SymbolAlgebra:
     b = read("b", expression)
     start, end = slots["omega"]
     if end == start + 1 and tokens.items[start][:2] == ("name", "auto"):
+        if tower.base == QQ and n > 2:  # its roots of unity are 1 and -1
+            raise FieldConstructionError(
+                f"{QQ} has no element of order {n}; rebuild over an extension"
+            )
         omega = primitive_root_of_unity(tower.base, n)
     else:
         omega_elem = read("omega", expression)

@@ -428,20 +428,11 @@ def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
     """Add a*b into acc = [coeffs, bound] of a's ring.  An exact zero factor
     adds nothing, not even a bound.
 
-    In an untwisted ring, when exactly one factor is truncated in the outer
-    variable and the other is exact with at most two field terms, the
-    product is one shifted, scaled copy of the truncated factor per field
-    term (_add_shifted).  Otherwise it goes by Kronecker substitution when
-    the ring packs and the operands are dense enough, else by the pair loop.
+    The product goes by Kronecker substitution when the ring packs and the
+    operands are dense enough, else by the pair loop.
     """
     if a.is_zero() or b.is_zero():
         return
-    if a.ring.sigma is None and (a.bound is None) != (b.bound is None):
-        s, m = (a, b) if b.bound is None else (b, a)
-        terms = _small_exact_terms(m)
-        if terms is not None:
-            _add_shifted(acc, s.ring, s, terms)
-            return
     packing = a.ring.packing
     if (
         packing is None
@@ -468,11 +459,11 @@ def _small_exact_terms(s: LaurentSeries):
     return terms
 
 
-def _add_shifted(acc: list, ring: SeriesRing, s, terms: list) -> None:
-    """Add s*m into acc of ring for an exact m given by its field terms: one
-    copy of s per term, its exponents shifted by the term's and its
-    coefficients scaled by the term's representative.  s is a series of
-    ring or an accumulator of it.
+def _add_shifted(acc: list, ring: SeriesRing, s: list, terms: list) -> None:
+    """Add s*m into acc of ring, for an accumulator s of the untwisted ring
+    and an exact m given by its field terms: one copy of s per term, its
+    exponents shifted by the term's and its coefficients scaled by the
+    term's representative.
 
     The windows are the pair loop's.  The outer bound is set first, from
     the least outer exponent of m, by the rule of _product_bound.  Below it a
@@ -480,11 +471,10 @@ def _add_shifted(acc: list, ring: SeriesRing, s, terms: list) -> None:
     child plus the term's exponent at that level: a child of m holding one
     term has that exponent as its least, and one holding both terms has the
     lesser of the two, which the other copy brings.  No child or term lands
-    at or above a bound so set, which leaves out the terms an accumulator
-    holds at or above its own bounds.
+    at or above a bound so set, which leaves out the terms s holds at or
+    above its own bounds.
     """
-    boxed = isinstance(s, LaurentSeries)
-    coeffs, bound = (s.coeffs, s.bound) if boxed else s
+    coeffs, bound = s
     if bound is not None:
         outer = bound + min(path[0] for path, _ in terms)
         if acc[1] is None or outer < acc[1]:
@@ -493,32 +483,31 @@ def _add_shifted(acc: list, ring: SeriesRing, s, terms: list) -> None:
     while isinstance(field, SeriesRing):
         field = field.coeff_ring
     for path, rep in terms:
-        _add_copy(acc, coeffs, path, rep, field, boxed)
+        _add_copy(acc, coeffs, path, rep, field)
 
 
-def _add_copy(acc: list, coeffs: dict, path: tuple, rep, field, boxed: bool) -> None:
+def _add_copy(acc: list, coeffs: dict, path: tuple, rep, field) -> None:
     out, limit = acc
     shift = path[0]
     if len(path) == 1:
         mul, add = field._mul, field._add
-        for e, c in coeffs.items():
+        for e, r in coeffs.items():
             e += shift
             if limit is None or e < limit:
-                r = mul(c.rep if boxed else c, rep)
+                r = mul(r, rep)
                 out[e] = add(out[e], r) if e in out else r
         return
     inner = path[1]
-    for e, c in coeffs.items():
+    for e, (kids, kid_bound) in coeffs.items():
         e += shift
         if limit is not None and e >= limit:
             continue
-        kids, kid_bound = (c.coeffs, c.bound) if boxed else c
         child = out.get(e)
         if child is None:
             child = out[e] = [{}, None]
         if kid_bound is not None and (child[1] is None or kid_bound + inner < child[1]):
             child[1] = kid_bound + inner
-        _add_copy(child, kids, path[1:], rep, field, boxed)
+        _add_copy(child, kids, path[1:], rep, field)
 
 
 class ProductSum:
@@ -825,8 +814,8 @@ def _kronecker_mul_into(acc: list, a: LaurentSeries, b: LaurentSeries, packing: 
 
 def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
     """The series of ring that acc holds, less its zeros, its exact-zero
-    children and its exponents at or above the bound, which are dropped
-    before anything is boxed."""
+    children and its exponents at or above the bound at every level, which
+    are dropped before anything is boxed."""
     coeffs, bound = acc
     inner = ring.coeff_ring
     clean = {}
@@ -835,18 +824,6 @@ def _box(ring: SeriesRing, acc: list) -> LaurentSeries:
         for e, r in coeffs.items():
             if (bound is None or e < bound) and not is_zero(r):
                 clean[e] = FieldElement(inner, r)
-    elif isinstance(inner.coeff_ring, Field):  # the children's terms are field elements
-        field, make = inner.coeff_ring, inner.series_class
-        is_zero = field._is_zero
-        for e, (kids, kid_bound) in coeffs.items():
-            if bound is None or e < bound:
-                kids = {
-                    x: FieldElement(field, r)
-                    for x, r in kids.items()
-                    if (kid_bound is None or x < kid_bound) and not is_zero(r)
-                }
-                if kids or kid_bound is not None:  # not an exact zero
-                    clean[e] = make(inner, kids, kid_bound)
     else:
         for e, c in coeffs.items():
             if bound is None or e < bound:

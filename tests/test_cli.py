@@ -57,6 +57,22 @@ def test_construction_failure_exit_code(capsys):
     assert "error" in json.loads(out)
 
 
+def test_omega_auto_over_q_past_order_two_is_a_construction_failure():
+    """Q holds no root of unity of order 3 or more, so omega=auto is refused
+    as over an F_p without one (exit 1, a JSON error naming the order),
+    even where every warning is an error: no extension of Q is built."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    algebra = "symbol(n=3, omega=auto, a=x, b=y) over Q((x))((y))"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "valdiv.cli", "classify", "--algebra", algebra],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert "Traceback" not in done.stderr
+    assert done.returncode == 1
+    assert json.loads(done.stdout)["error"] == "Q has no element of order 3; rebuild over an extension"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

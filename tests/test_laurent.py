@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from valdiv import laurent
+from valdiv import laurent, symbol
 from valdiv.errors import (
     DescriptorMismatchError,
     FieldConstructionError,
@@ -35,6 +35,7 @@ from valdiv.laurent import (
     hensel_sqrt,
     unit_is_square,
 )
+from valdiv.symbol import SymbolAlgebra
 
 from oracles import (
     _naive_sum,
@@ -1013,13 +1014,24 @@ def _small_factors(tower, rng):
     return factors
 
 
+def _accumulator(s):
+    """s as a [coeffs, bound] accumulator: representatives over the field,
+    the children unboxed at every level."""
+    if isinstance(s.ring.coeff_ring, SeriesRing):
+        return [{e: _accumulator(c) for e, c in s.coeffs.items()}, s.bound]
+    return [{e: c.rep for e, c in s.coeffs.items()}, s.bound]
+
+
 @pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
 @pytest.mark.parametrize("height", [1, 2, 3])
 def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
-    """A truncated series times an exact factor of at most two field terms,
-    on either side, alone and added to a ProductSum that already holds a
-    product, equals the naive pair loop in every coefficient and bound at
-    every level, bound-only children included; the shifted copies made it."""
+    """A truncated accumulator times an exact factor of at most two field
+    terms, as shifted copies, alone and added to an accumulator that already
+    holds a product, equals the naive pair loop in every coefficient and
+    bound at every level, bound-only children included.  Series products of
+    the same operands, on either side, equal it too and take no copies; an
+    algebra product with the exact small slot a = x + y folds its wraps
+    through them."""
     rng = random.Random(f"shifted {field}/{height}")
     tower = Tower(field, ["x", "y", "z"][:height])
     ring = tower.top_ring()
@@ -1032,6 +1044,18 @@ def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
         checked += 1
         held = _random_series(ring, rng), _random_series(ring, rng)
         for m in _small_factors(tower, rng):
+            terms = laurent._small_exact_terms(m)
+            assert terms is not None
+            alone = [{}, None]
+            laurent._add_shifted(alone, ring, _accumulator(s), terms)
+            assert series_plain(laurent._box(ring, alone)) == naive_series_product(s, m)
+            acc = [{}, None]
+            laurent._add_product(acc, *held)
+            laurent._add_shifted(acc, ring, _accumulator(s), terms)
+            want = _naive_sum(naive_series_product(*held), naive_series_product(s, m))
+            assert series_plain(laurent._box(ring, acc)) == want
+            assert series_invariant_breaches(laurent._box(ring, acc)) == []
+            del shifted[:]
             for x, y in ((s, m), (m, s)):
                 assert series_plain(x * y) == naive_series_product(x, y)
                 total = laurent.ProductSum(ring)
@@ -1040,12 +1064,22 @@ def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
                 want = _naive_sum(naive_series_product(*held), naive_series_product(x, y))
                 assert series_plain(total.result()) == want
                 assert series_invariant_breaches(total.result()) == []
-    assert len(shifted) >= checked * 4
+            assert shifted == []
+    if height > 1:
+        folded = _spy(monkeypatch, symbol, "_add_shifted")
+        x, y = tower.var("x"), tower.var("y")
+        alg = SymbolAlgebra(tower, 2, -field.one(), x + y, y)
+        u = alg.element({(1, 0): x + tower.one(), (1, 1): y - x * x, (0, 1): tower.one()})
+        got, want = u * u, pairwise_algebra_product(u, u)
+        assert {kl: series_plain(c.payload) for kl, c in got.coeffs.items()} == {
+            kl: series_plain(c.payload) for kl, c in want.coeffs.items()
+        }
+        assert len(folded) >= 2
 
 
 def test_twisted_products_take_no_shifted_copies(monkeypatch):
-    """sigma^e1 acts on the right factor's terms, so a twisted ring keeps the
-    pair loop for exact small factors."""
+    """sigma^e1 acts on the right factor's terms; an exact small factor in a
+    twisted ring goes by the pair loop, as every series product does."""
     ring = twisted_ring()
     rng = random.Random("twisted small factors")
     shifted = _spy(monkeypatch, laurent, "_add_shifted")
