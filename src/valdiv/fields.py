@@ -142,9 +142,21 @@ class FieldElement:
 
 
 class Field:
-    """Abstract exact field; subclasses implement representative-level ops."""
+    """Abstract exact field; subclasses implement representative-level ops.
+
+    A sum of products is formed as acc = _fma(acc, a, b) from acc = None
+    and read as _fold(acc); a field whose products reduce may keep acc
+    unreduced until the fold.  By default each product is reduced and added.
+    """
 
     char: int
+
+    def _fma(self, acc, a, b):
+        prod = self._mul(a, b)
+        return prod if acc is None else self._add(acc, prod)
+
+    def _fold(self, acc):
+        return acc
 
     def element(self, value) -> FieldElement:
         raise NotImplementedError
@@ -257,6 +269,12 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return (a * b) % self.p
 
+    def _fma(self, acc, a, b):
+        return a * b if acc is None else acc + a * b
+
+    def _fold(self, acc):
+        return acc % self.p
+
     def _inv(self, a):
         return pow(a, -1, self.p)
 
@@ -287,7 +305,8 @@ class ExtensionField(Field):
     products folded below var^degree with one reduction row, var^degree =
     -(f_0 + f_1 var + ... + f_(degree-1) var^(degree-1)), computed once per
     field.  Over a prime field the slots are plain integer sums, reduced mod
-    p once each at the end.
+    p once each at the end, and a sum of products (_fma) keeps adding into
+    the same 2*degree - 1 slots, so that _fold reduces it once.
     """
 
     def __init__(self, base: Field, modulus, var: str = "w"):
@@ -367,15 +386,23 @@ class ExtensionField(Field):
             return tuple([-x % p for x in a])
         return tuple(map(self.base._neg, a))
 
+    def _fma(self, acc, a, b):
+        if not self._p:
+            return super()._fma(acc, a, b)
+        if acc is None:
+            acc = [0] * (2 * self.degree - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    acc[j] += x * y
+        return acc
+
+    def _fold(self, acc):
+        return self._reduce(acc) if self._p else acc
+
     def _mul(self, a, b):
-        p = self._p
-        if p:
-            prod = [0] * (2 * self.degree - 1)
-            for i, x in enumerate(a):
-                if x:
-                    for j, y in enumerate(b, i):
-                        prod[j] += x * y
-            return self._reduce(prod)
+        if self._p:
+            return self._reduce(self._fma(None, a, b))
         base = self.base
         mul, add, is_zero = base._mul, base._add, base._is_zero
         prod = [self._zero] * (2 * self.degree - 1)
@@ -571,8 +598,9 @@ def primitive_root_of_unity(field: Field, n: int) -> FieldElement:
     Over F_q the least one by sort_key: zeta = h^((q-1)/n), for the first h
     in elements() order with ord(zeta) = n, generates the n-th roots, whose
     elements of order n are the zeta^k with gcd(k, n) = 1.  Over Q the
-    generator of Q[z]/(Phi_n) is returned; over an extension of Q the
-    generator powers and their negatives are tried.
+    generator of Q[z]/(Phi_n) is returned, with no IrreducibilityWarning:
+    cyclotomic polynomials are irreducible over Q.  Over an extension of Q
+    the generator powers and their negatives are tried.
     """
     if n < 1:
         raise UsageError("n must be >= 1")
@@ -598,7 +626,9 @@ def primitive_root_of_unity(field: Field, n: int) -> FieldElement:
     if isinstance(field, RationalField):
         if n == 2:
             return field.element(-1)
-        ext = ExtensionField(field, cyclotomic_polynomial(n), var="z")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IrreducibilityWarning)
+            ext = ExtensionField(field, cyclotomic_polynomial(n), var="z")
         return ext.generator()
     if isinstance(field, ExtensionField):
         gen = field.generator()

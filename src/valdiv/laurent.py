@@ -266,10 +266,10 @@ class LaurentSeries:
         sum_j sigma^-lead(d_j) t^(j-lead) where sum_(i+j=m) c_i sigma^i(d_j)
         is 1 at m = 0 and 0 after, so each d_m follows from the earlier ones.
         Untwisted, sigma is the identity.  Over a field the recurrence runs on
-        representatives, with the field's own _mul and _add and sigma^i looked
-        up once per term of c, and the inverse is boxed once; above a field
-        each sum is one ProductSum of the coefficient series, multiplied once
-        by -d_0.
+        representatives: each c_i is multiplied by -d_0 once, sigma^i is
+        looked up once per term of c, each d_m is one sum of the field's _fma
+        folded once, and the inverse is boxed once; above a field each sum is
+        one ProductSum of the coefficient series, multiplied once by -d_0.
         """
         lead = self.leading_exponent()
         exact_monomial = len(self.coeffs) == 1 and self.bound is None
@@ -279,29 +279,28 @@ class LaurentSeries:
             rel = self.ring.default_prec if self.bound is None else self.bound - lead
         field, sigma = self.ring.coeff_ring, self.ring.sigma
         on_field = isinstance(field, Field)
-        tail = [
-            (e - lead, c.rep if on_field else c, _rep_map(sigma, e - lead))
-            for e, c in self.coeffs.items()
-            if 0 < e - lead < rel
-        ]
         d0 = self.coeffs[lead].inv()
         if on_field:
-            mul, add, is_zero = field._mul, field._add, field._is_zero
+            fma, fold, is_zero = field._fma, field._fold, field._is_zero
             inv_coeffs = {0: d0.rep}
             neg_d0 = field._neg(d0.rep)
         else:
             inv_coeffs = {0: d0}
             neg_d0 = -d0
+        tail = [
+            (e - lead, field._mul(neg_d0, c.rep) if on_field else c, _rep_map(sigma, e - lead))
+            for e, c in self.coeffs.items()
+            if 0 < e - lead < rel
+        ]
         for m in range(1, rel):
             if on_field:
                 acc = None
                 for off, c, twist in tail:
                     d = inv_coeffs.get(m - off)
                     if d is not None:
-                        term = mul(c, d if twist is None else twist(d))
-                        acc = term if acc is None else add(acc, term)
+                        acc = fma(acc, c, d if twist is None else twist(d))
                 if acc is not None:
-                    val = mul(neg_d0, acc)
+                    val = fold(acc)
                     if not is_zero(val):
                         inv_coeffs[m] = val
             else:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -137,6 +138,15 @@ def test_primitive_root_examples():
     assert zeta * zeta == zeta.field.element(-1)
     with pytest.raises(FieldConstructionError):
         primitive_root_of_unity(F5, 3)  # 3 does not divide 4
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cyclotomic_root_over_q_warns_nothing(n):
+    """Phi_n is irreducible over Q, so no IrreducibilityWarning is raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        zeta = primitive_root_of_unity(QQ, n)
+    assert has_order(zeta, n)
 
 
 def test_primitive_root_order_is_exact():

@@ -471,9 +471,9 @@ F343 = ExtensionField(F7, [-2, 0, 0, 1], var="w")  # w^3 - 2 has no root in F7
 def _random_coefficient(field, rng):
     if field == QQ:
         return field.element(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-    if field == F7:
-        return field.element(rng.randrange(7))
-    return field.element([rng.randrange(field.base.size()) for _ in range(field.degree)])
+    if isinstance(field, PrimeField):
+        return field.element(rng.randrange(field.p))
+    return field.element([_random_coefficient(field.base, rng) for _ in range(field.degree)])
 
 
 def _random_series(ring, rng):
@@ -1111,20 +1111,55 @@ def test_inversion_over_an_extension_field_boxes_no_products(monkeypatch):
     assert (u * ui).agrees_to_precision(tower.one())
 
 
-@pytest.mark.parametrize("field", [F7, F343, QQ, None], ids=["F7", "F7[w]", "Q", "F9-twisted"])
-def test_inverse_matches_boxed_recurrence(field):
+@pytest.mark.parametrize("ring", [SeriesRing(F343, "t", 128), twisted_ring(prec=128)], ids=str)
+def test_inversion_over_an_extension_field_folds_each_coefficient_once(monkeypatch, ring):
+    """Over F_p[w]/(f) the inverse reduces once per coefficient it forms,
+    plus once per tail term for its product with -d_0.  The first inversion
+    also builds the powers of sigma that the twisted ring keeps."""
+    field = ring.coeff_ring
+    rng = random.Random(f"one fold per coefficient {ring}")
+    x = ring.series({e: _random_coefficient(field, rng) for e in range(128)} | {0: field.one()})
+    x.inv()
+    reduced = _spy(monkeypatch, ExtensionField, "_reduce")
+    x.inv()
+    assert len(reduced) <= (128 - 1) + (len(x.coeffs) - 1)
+
+
+with pytest.warns(IrreducibilityWarning):
+    QI = ExtensionField(QQ, [1, 0, 1], var="i")  # i^2 = -1
+
+INVERSE_FIELDS = [
+    (F7, "F7"), (F343, "F7[w]"), (QQ, "Q"), (None, "F9-twisted"), (F81, "F9[v]"), (QI, "Q[i]")
+]
+
+
+@pytest.mark.parametrize(
+    "field, dense",
+    [pytest.param(field, False, id=name) for field, name in INVERSE_FIELDS]
+    + [pytest.param(field, True, id=f"{name}-dense") for field, name in INVERSE_FIELDS],
+)
+def test_inverse_matches_boxed_recurrence(field, dense):
     """Every coefficient and the bound of the inverse, against the
     recurrence run on boxed elements; leads -3..3 so that the twisted
-    inverse is untwisted by every power of sigma."""
-    ring = twisted_ring(prec=24) if field is None else SeriesRing(field, "t", 24)
+    inverse is untwisted by every power of sigma.  A dense tail, a term at
+    every exponent below the precision 128, sums up to 127 products in one
+    coefficient before it is folded."""
+    prec = 128 if dense else 24
+    ring = twisted_ring(prec=prec) if field is None else SeriesRing(field, "t", prec)
     field = ring.coeff_ring
     rng = random.Random(f"inverse {ring}")
-    for k in range(80):
+    for k in range(2 if dense else 80):
         lead, c = rng.randint(-3, 3), _random_coefficient(field, rng)
         coeffs = {lead: field.one() if c.is_zero() else c}
-        for _ in range(rng.randint(0, 6)):
-            coeffs[lead + rng.randint(1, 12)] = _random_coefficient(field, rng)
-        bound = None if k % 2 else lead + rng.randint(1, 20)
+        if dense:
+            for i in range(1, prec):
+                c = _random_coefficient(field, rng)
+                coeffs[lead + i] = field.one() if c.is_zero() else c
+            bound = None if k % 2 else lead + prec
+        else:
+            for _ in range(rng.randint(0, 6)):
+                coeffs[lead + rng.randint(1, 12)] = _random_coefficient(field, rng)
+            bound = None if k % 2 else lead + rng.randint(1, 20)
         x = ring.series(coeffs, bound)
         assert series_plain(x.inv()) == boxed_series_inverse(x), str(x)
         assert series_invariant_breaches(x.inv()) == []
