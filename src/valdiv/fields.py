@@ -145,8 +145,12 @@ class Field:
     """Abstract exact field; subclasses implement representative-level ops.
 
     A sum of products is formed as acc = _fma(acc, a, b) from acc = None
-    and read as _fold(acc); a field whose products reduce may keep acc
-    unreduced until the fold.  By default each product is reduced and added.
+    and read as _fold(acc); by default each product is reduced and added.
+    A field that packs (F_p, F_p[w]/(f)) has a _packer instead: with
+    pack, fold = _packer(n), a sum of up to n products a*b is fold(acc) for
+    acc the integer sum of pack(a) * pack(b), unreduced until the fold, and
+    a packed value is 0 exactly when it packs zero; _packer is None for a
+    field that does not pack.
     """
 
     char: int
@@ -157,6 +161,9 @@ class Field:
 
     def _fold(self, acc):
         return acc
+
+    def _packer(self, terms: int):
+        return None
 
     def element(self, value) -> FieldElement:
         raise NotImplementedError
@@ -269,11 +276,10 @@ class PrimeField(Field):
     def _mul(self, a, b):
         return (a * b) % self.p
 
-    def _fma(self, acc, a, b):
-        return a * b if acc is None else acc + a * b
-
-    def _fold(self, acc):
-        return acc % self.p
+    def _packer(self, terms):
+        """A representative is its own packing, an int; the fold is mod p."""
+        p = self.p
+        return int, lambda acc: acc % p
 
     def _inv(self, a):
         return pow(a, -1, self.p)
@@ -305,8 +311,8 @@ class ExtensionField(Field):
     products folded below var^degree with one reduction row, var^degree =
     -(f_0 + f_1 var + ... + f_(degree-1) var^(degree-1)), computed once per
     field.  Over a prime field the slots are plain integer sums, reduced mod
-    p once each at the end, and a sum of products (_fma) keeps adding into
-    the same 2*degree - 1 slots, so that _fold reduces it once.
+    p once each at the end, and a sum of products is packed (_packer) into
+    one integer of 2*degree - 1 slots, which its fold reduces once.
     """
 
     def __init__(self, base: Field, modulus, var: str = "w"):
@@ -386,23 +392,36 @@ class ExtensionField(Field):
             return tuple([-x % p for x in a])
         return tuple(map(self.base._neg, a))
 
-    def _fma(self, acc, a, b):
-        if not self._p:
-            return super()._fma(acc, a, b)
-        if acc is None:
-            acc = [0] * (2 * self.degree - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    acc[j] += x * y
-        return acc
+    def _packer(self, terms):
+        """Over a prime field a representative packs as one integer, its
+        degree d coordinates in the low d of u = 2d - 1 slots of w bits,
+        2^w > (p-1)^2 * d * terms: a product of two packed values holds the
+        schoolbook product in its u slots, and a sum of up to `terms` of them
+        carries across no slot, so the fold reads the u slots and reduces
+        them once.  Over other bases it does not pack."""
+        p, d = self._p, self.degree
+        if not p:
+            return None
+        w = ((p - 1) ** 2 * d * max(terms, 1)).bit_length()
+        shifts = range(0, (2 * d - 1) * w, w)
+        scales, mask, reduce = [1 << s for s in shifts[:d]], (1 << w) - 1, self._reduce
 
-    def _fold(self, acc):
-        return self._reduce(acc) if self._p else acc
+        def pack(rep):
+            return sum(map(operator.mul, rep, scales))
+
+        def fold(acc):
+            return reduce([acc >> s & mask for s in shifts])
+
+        return pack, fold
 
     def _mul(self, a, b):
         if self._p:
-            return self._reduce(self._fma(None, a, b))
+            prod = [0] * (2 * self.degree - 1)
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in enumerate(b, i):
+                        prod[j] += x * y
+            return self._reduce(prod)
         base = self.base
         mul, add, is_zero = base._mul, base._add, base._is_zero
         prod = [self._zero] * (2 * self.degree - 1)
@@ -668,32 +687,39 @@ def sqrt(x: FieldElement) -> FieldElement | None:
 
     Over F_q, with q - 1 = 2^s * t and t odd, Tonelli-Shanks (Cohen, A Course
     in Computational Algebraic Number Theory, Alg. 1.5.1) keeps root^2 = x*b
-    and halves the order of b with powers of z^t, z the first non-square in
-    elements() order.  When q = 3 mod 4, b = 1 at once, root = x^((q+1)/4)
-    and no z is sought.  min(root, -root) by sort_key is returned.
+    for b = x^t at first, and halves the order of b with powers of z^t, z the
+    first non-square in elements() order.  x is a square iff b's order is
+    below 2^s, which the first order search reads, so no separate test is
+    made.  When q = 3 mod 4 and x is a square, b = 1 at once,
+    root = x^((q+1)/4) and no z is sought.  min(root, -root) by sort_key is
+    returned.
     """
     field = x.field
     if field.char == 2:
         raise UnsupportedFieldError("characteristic 2 square theory unsupported")
     if x.is_zero():
         return x
-    if not is_square(x):
-        return None
     size = field.size()
     if size is None:
+        if not is_square(x):
+            return None
         v = x.rep
         return field.element(Fraction(isqrt(v.numerator), isqrt(v.denominator)))
     one, s, t = field.one(), 0, size - 1
     while t % 2 == 0:
         s, t = s + 1, t // 2
     y = x ** (t // 2)
-    root, b = y * x, y * y * x
-    if b != one:
-        c = next(h for h in field.elements() if not is_square(h)) ** t
+    root = y * x
+    b, c = root * y, None
     while b != one:
-        i, b2 = 1, b * b
-        while b2 != one:
-            i, b2 = i + 1, b2 * b2
+        i, b2 = 0, b
+        while b2 != one:  # b2 = b^(2^i)
+            i += 1
+            if i == s:  # b = x^t has order 2^s: x is no square
+                return None
+            b2 = b2 * b2
+        if c is None:
+            c = next(h for h in field.elements() if not is_square(h)) ** t
         g = c ** (1 << (s - i - 1))
         root, c, s = root * g, g * g, i
         b = b * c

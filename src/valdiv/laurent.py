@@ -266,10 +266,13 @@ class LaurentSeries:
         sum_j sigma^-lead(d_j) t^(j-lead) where sum_(i+j=m) c_i sigma^i(d_j)
         is 1 at m = 0 and 0 after, so each d_m follows from the earlier ones.
         Untwisted, sigma is the identity.  Over a field the recurrence runs on
-        representatives: each c_i is multiplied by -d_0 once, sigma^i is
-        looked up once per term of c, each d_m is one sum of the field's _fma
-        folded once, and the inverse is boxed once; above a field each sum is
-        one ProductSum of the coefficient series, multiplied once by -d_0.
+        representatives: each c_i is multiplied by -d_0 once, and sigma^i is
+        looked up once per term of c.  Over F_p and F_p[w]/(f) (Field._packer)
+        each d_m is then one integer multiply-add per term pair of packed
+        values (each d_j, and each sigma^k(d_j) for k below sigma's order,
+        packed once), folded once; over other fields one sum of the field's
+        _fma, folded once.  Above a field each sum is one ProductSum of the
+        coefficient series, multiplied once by -d_0.
         """
         lead = self.leading_exponent()
         exact_monomial = len(self.coeffs) == 1 and self.bound is None
@@ -281,7 +284,6 @@ class LaurentSeries:
         on_field = isinstance(field, Field)
         d0 = self.coeffs[lead].inv()
         if on_field:
-            fma, fold, is_zero = field._fma, field._fold, field._is_zero
             inv_coeffs = {0: d0.rep}
             neg_d0 = field._neg(d0.rep)
         else:
@@ -292,8 +294,32 @@ class LaurentSeries:
             for e, c in self.coeffs.items()
             if 0 < e - lead < rel
         ]
-        for m in range(1, rel):
-            if on_field:
+        packer = field._packer(len(tail)) if on_field else None
+        if packer is not None:
+            pack, fold = packer
+            order = self.ring.sigma_order
+            # packed[k][j] is sigma^k(d_j) packed, for 0 <= k < order
+            maps = [_rep_map(sigma, k) for k in range(order)]
+            packed = [{0: pack(d0.rep if f is None else f(d0.rep))} for f in maps]
+            tail = [(i, pack(c), packed[i % order]) for i, c, _ in tail]
+            plain, twists = packed[0], list(zip(packed[1:], maps[1:]))
+            for m in range(1, rel):
+                acc = 0
+                for i, pc, ds in tail:
+                    pd = ds.get(m - i)
+                    if pd is not None:
+                        acc += pc * pd
+                if acc:
+                    d = fold(acc)
+                    pd = pack(d)
+                    if pd:  # d is not zero
+                        plain[m], inv_coeffs[m] = pd, d
+                        if twists:  # only in a twisted ring
+                            for ds, twist in twists:
+                                ds[m] = pack(twist(d))
+        elif on_field:
+            fma, fold, is_zero = field._fma, field._fold, field._is_zero
+            for m in range(1, rel):
                 acc = None
                 for off, c, twist in tail:
                     d = inv_coeffs.get(m - off)
@@ -303,7 +329,8 @@ class LaurentSeries:
                     val = fold(acc)
                     if not is_zero(val):
                         inv_coeffs[m] = val
-            else:
+        else:
+            for m in range(1, rel):
                 total = ProductSum(field)
                 for off, c, _ in tail:
                     d = inv_coeffs.get(m - off)
@@ -1074,8 +1101,9 @@ def _payload_exact(payload) -> bool:
 def hensel_sqrt(u: TowerElement) -> TowerElement | None:
     """Square root of a unit by residue sqrt + Newton lifting, or None.
 
-    Lifts only a unit that unit_is_square accepts; the residue's root is
-    returned unlifted only when its square is exactly u.  Otherwise
+    Lifts only a unit whose residue has a square root, which fields.sqrt
+    decides (with unit_is_square's errors); the residue's root is returned
+    unlifted only when its square is exactly u.  Otherwise
     _inverse_root lifts r = u^(-1/2) with no inversion and no certification,
     to half of prec in the top variable, and cuts it to prec: u's top-level
     window when u is truncated, the default precision otherwise.  Then
@@ -1083,10 +1111,10 @@ def hensel_sqrt(u: TowerElement) -> TowerElement | None:
     precision and whose inversion sets the windows; the returned witness
     satisfies s*s = u in every certified coefficient.
     """
-    if not unit_is_square(u):
+    root = field_sqrt(_unit_residue(u))
+    if root is None:
         return None
     tower = u.tower
-    root = field_sqrt(u.residue())
     s = tower.constant(root)
     if (s * s - u).is_zero():
         return s
@@ -1143,12 +1171,17 @@ def _cut(s: LaurentSeries, k: int) -> LaurentSeries:
 def unit_is_square(u: TowerElement) -> bool:
     """Hensel test (Serre, Local Fields, ch. II): a unit of a tower with odd
     residue characteristic is a square iff its residue is a square."""
+    return is_square(_unit_residue(u))
+
+
+def _unit_residue(u: TowerElement) -> FieldElement:
+    """The residue of a unit u of a tower with odd residue characteristic."""
     if u.tower.residue_char == 2:
         raise UnsupportedFieldError("Hensel square testing needs residue char != 2")
     v = u.valuation()
     if v is INFINITE_VALUATION or any(x != 0 for x in v):
         raise NotAUnitError(f"valuation {v} is nonzero; not a unit")
-    return is_square(u.residue())
+    return u.residue()
 
 
 # ---------------------------------------------------------------------------

@@ -221,6 +221,50 @@ def test_roots_and_square_roots_match_brute_force_oracles(field):
         assert sqrt(x) == (roots[0] if roots else None)
 
 
+@pytest.mark.parametrize(
+    "field",
+    [
+        PrimeField(2**61 - 1),
+        ExtensionField(PrimeField(9973), [11, 1, 0, 1], var="w"),
+        ExtensionField(PrimeField(2), [1, 1, 0, 1], var="w"),
+        F7a,
+        F9,
+    ],
+    ids=str,
+)
+@pytest.mark.parametrize("terms", [1, 2, 127])
+def test_packed_sums_of_the_largest_products_fold_exactly(field, terms):
+    """`terms` products of the element whose every coordinate is p - 1 fill
+    the middle slot to (p-1)^2 * d * terms, the bound the slots are sized
+    for; the sum must fold to the same element as the boxed sum."""
+    pack, fold = field._packer(terms)
+    top = field.element([-1] * field.degree if isinstance(field, ExtensionField) else -1)
+    acc = sum(pack(top.rep) * pack(top.rep) for _ in range(terms))
+    assert FieldElement(field, fold(acc)) == top * top * terms
+
+
+@pytest.mark.parametrize(
+    "field",
+    [PrimeField(13), PrimeField(17), PrimeField(41), ExtensionField(F7, [3, 1, 1], var="w"), F9],
+    ids=str,
+)
+def test_sqrt_decides_squares_by_tonelli_shanks_alone(field, monkeypatch):
+    """Where 4 divides q - 1, so that the 2-part 2^s of q - 1 has s >= 2,
+    sqrt returns None for a non-square from the order of x^t, with no
+    separate square test, and the least root of a square otherwise."""
+    q = field.size()
+    assert (q - 1) % 4 == 0
+    tests = []
+    monkeypatch.setattr("valdiv.fields.is_square", lambda x: tests.append(x) or is_square(x))
+    for x in field.elements():
+        roots = square_roots(x)
+        if isinstance(field, PrimeField):
+            assert bool(roots) == (x.rep in brute_force_squares(q))
+        tests.clear()
+        assert sqrt(x) == (roots[0] if roots else None)
+        assert roots or tests == []
+
+
 def test_multiplicative_order_in_characteristic_zero():
     assert multiplicative_order(QQ.element(-1)) == 2
     assert multiplicative_order(QI.generator()) == 4

@@ -1,5 +1,6 @@
 import copy
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from valdiv.errors import (
     NotAUnitError,
     NotInvertibleError,
     PrecisionExhaustedError,
+    UnsupportedFieldError,
 )
 from valdiv.fields import (
     QQ,
@@ -213,6 +215,18 @@ def test_precision_never_silently_extends():
     prod = u * (tow.one() - t)
     assert prod.payload.bound == 5
     assert prod.agrees_to_precision(tow.one())
+
+
+def test_hensel_sqrt_raises_as_the_unit_test_does():
+    """hensel_sqrt decides a non-square by the residue's sqrt alone, and
+    refuses a non-unit and residue characteristic 2 as unit_is_square does."""
+    tow = t_f5()
+    t = tow.var("t")
+    assert hensel_sqrt(tow.constant(2) + t) is None
+    with pytest.raises(NotAUnitError):
+        hensel_sqrt(t)
+    with pytest.raises(UnsupportedFieldError, match="residue char != 2"):
+        hensel_sqrt(Tower(PrimeField(2), ["t"]).one())
 
 
 def test_hensel_square_examples():
@@ -1128,8 +1142,14 @@ def test_inversion_over_an_extension_field_folds_each_coefficient_once(monkeypat
 with pytest.warns(IrreducibilityWarning):
     QI = ExtensionField(QQ, [1, 0, 1], var="i")  # i^2 = -1
 
+F9973 = ExtensionField(PrimeField(9973), [11, 1, 0, 1], var="w")  # w^3 + w + 11
+F8 = ExtensionField(PrimeField(2), [1, 1, 0, 1], var="w")  # w^3 + w + 1
+
+# the packed fields at their narrowest slots (F2[w]) and widest (p = 2^61 - 1,
+# and p = 9973 in degree 3) come after the six of the recurrence's routes
 INVERSE_FIELDS = [
-    (F7, "F7"), (F343, "F7[w]"), (QQ, "Q"), (None, "F9-twisted"), (F81, "F9[v]"), (QI, "Q[i]")
+    (F7, "F7"), (F343, "F7[w]"), (QQ, "Q"), (None, "F9-twisted"), (F81, "F9[v]"), (QI, "Q[i]"),
+    (PrimeField(2**61 - 1), "F(2^61-1)"), (F9973, "F9973[w]"), (F8, "F2[w]"),
 ]
 
 
@@ -1163,6 +1183,43 @@ def test_inverse_matches_boxed_recurrence(field, dense):
         x = ring.series(coeffs, bound)
         assert series_plain(x.inv()) == boxed_series_inverse(x), str(x)
         assert series_invariant_breaches(x.inv()) == []
+
+
+@pytest.mark.parametrize(
+    "ring",
+    [SeriesRing(F9973, "t", 128), SeriesRing(F8, "t", 128), twisted_ring(prec=128)],
+    ids=str,
+)
+def test_dense_inverse_with_every_tail_coordinate_at_its_largest(ring):
+    """The lead is -1 and every other coefficient, at every exponent below
+    the precision 128, has every coordinate p - 1, so that each packed tail
+    coefficient -d_0 c_i has every coordinate at its largest and a packed
+    coefficient sums up to 127 products; against the recurrence on boxed
+    elements, over the widest and the narrowest slots of degree 3 and the
+    twisted F9 with leads 3 and -2."""
+    field = ring.coeff_ring
+    top = field.element([-1] * field.degree)
+    for lead in (3, -2) if ring.sigma else (0,):
+        x = ring.series({lead: -field.one()} | {lead + i: top for i in range(1, 128)})
+        assert series_plain(x.inv()) == boxed_series_inverse(x), str(x)
+
+
+def test_inversion_over_an_extension_field_calls_nothing_per_term_pair(monkeypatch):
+    """A dense tail at precision 128 makes about 8,000 term pairs.  They are
+    multiplied and added as packed integers, so that one inversion makes no
+    per-pair multiply-add call (ExtensionField._fma) and its Python calls
+    grow with the 128 coefficients, not with the pairs."""
+    ring = SeriesRing(F343, "t", 128)
+    rng = random.Random("no call per term pair")
+    x = ring.series({e: _random_coefficient(F343, rng) for e in range(128)} | {0: F343.one()})
+    fma, calls = _spy(monkeypatch, ExtensionField, "_fma"), []
+    sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
+    try:
+        x.inv()
+    finally:
+        sys.setprofile(None)
+    assert fma == []
+    assert len(calls) < 16 * 128
 
 
 # --- Hensel square roots against the reference lift ---------------------------
