@@ -144,23 +144,14 @@ class FieldElement:
 class Field:
     """Abstract exact field; subclasses implement representative-level ops.
 
-    A sum of products is formed as acc = _fma(acc, a, b) from acc = None
-    and read as _fold(acc); by default each product is reduced and added.
-    A field that packs (F_p, F_p[w]/(f)) has a _packer instead: with
-    pack, fold = _packer(n), a sum of up to n products a*b is fold(acc) for
-    acc the integer sum of pack(a) * pack(b), unreduced until the fold, and
-    a packed value is 0 exactly when it packs zero; _packer is None for a
-    field that does not pack.
+    A field that packs (F_p, F_p[w]/(f)) has a _packer: with pack, fold =
+    _packer(n), a sum of up to n products a*b is fold(acc) for acc the
+    integer sum of pack(a) * pack(b), unreduced until the fold, and a packed
+    value is 0 exactly when it packs zero.  _packer is None for a field that
+    does not pack; a sum of products is then formed with _mul and _add.
     """
 
     char: int
-
-    def _fma(self, acc, a, b):
-        prod = self._mul(a, b)
-        return prod if acc is None else self._add(acc, prod)
-
-    def _fold(self, acc):
-        return acc
 
     def _packer(self, terms: int):
         return None
@@ -331,7 +322,7 @@ class ExtensionField(Field):
         if isinstance(base, ExtensionField) and isinstance(base.base, ExtensionField):
             raise FieldConstructionError("extension towers limited to depth 2")
         self._p = base.p if isinstance(base, PrimeField) else None
-        self._zero = base.zero().rep
+        self._zero, self._one = base.zero().rep, base.one().rep
         self._zero_rep = (self._zero,) * d
         self._mod_reps = [c.rep for c in mod]
         # the reduction row: (i, -f_i) for every nonzero f_i below the leading 1
@@ -341,11 +332,11 @@ class ExtensionField(Field):
         if base.size() is not None:
             if not _is_irreducible_finite(self):
                 raise FieldConstructionError(
-                    f"{self._poly_str(self.modulus)} is reducible over {base}"
+                    f"{self._str(self._mod_reps)} is reducible over {base}"
                 )
         else:
             warnings.warn(
-                f"irreducibility of {self._poly_str(self.modulus)} over {base} "
+                f"irreducibility of {self._str(self._mod_reps)} over {base} "
                 "is a trusted precondition",
                 IrreducibilityWarning,
                 stacklevel=2,
@@ -459,7 +450,7 @@ class ExtensionField(Field):
         base = self.base
         mul, add, neg = base._mul, base._add, base._neg
         r0, r1 = self._mod_reps, _poly_trim(base, list(a))
-        s0, s1 = [], [base.one().rep]
+        s0, s1 = [], [self._one]
         while len(r1) > 1:
             q, r = _poly_divmod(base, r0, r1)
             s = s0 + [self._zero] * (len(q) + len(s1) - 1 - len(s0))
@@ -480,22 +471,21 @@ class ExtensionField(Field):
         return (1, tuple(map(self.base._key, a)))
 
     def _str(self, a):
-        return self._poly_str([FieldElement(self.base, c) for c in a])
-
-    def _poly_str(self, coeffs):
-        terms = []
-        for k, c in enumerate(coeffs):
-            if c.is_zero():
+        """The polynomial of the representatives a (low to high), each base
+        coordinate printed by the base."""
+        base, terms = self.base, []
+        for k, c in enumerate(a):
+            if base._is_zero(c):
                 continue
             if k == 0:
-                terms.append(str(c))
+                terms.append(base._str(c))
             else:
                 var = self.var if k == 1 else f"{self.var}^{k}"
-                terms.append(var if c == self.base.one() else f"{c}*{var}")
+                terms.append(var if c == self._one else f"{base._str(c)}*{var}")
         return " + ".join(terms) if terms else "0"
 
     def describe(self):
-        return f"{self.base.describe()}[{self.var}]/({self._poly_str(self.modulus)})"
+        return f"{self.base.describe()}[{self.var}]/({self._str(self._mod_reps)})"
 
     def __eq__(self, other):
         return (

@@ -267,12 +267,13 @@ class LaurentSeries:
         is 1 at m = 0 and 0 after, so each d_m follows from the earlier ones.
         Untwisted, sigma is the identity.  Over a field the recurrence runs on
         representatives: each c_i is multiplied by -d_0 once, and sigma^i is
-        looked up once per term of c.  Over F_p and F_p[w]/(f) (Field._packer)
-        each d_m is then one integer multiply-add per term pair of packed
-        values (each d_j, and each sigma^k(d_j) for k below sigma's order,
-        packed once), folded once; over other fields one sum of the field's
-        _fma, folded once.  Above a field each sum is one ProductSum of the
-        coefficient series, multiplied once by -d_0.
+        read from the maps of sigma^k, k below sigma's order, built once per
+        call.  Over F_p and F_p[w]/(f) (Field._packer) each d_m is then one
+        integer multiply-add per term pair of packed values (each d_j, and
+        each sigma^k(d_j), packed once), folded once; over other fields (Q,
+        Q[w]/(f), depth-2 towers) it is the field's own _mul per term pair,
+        summed by its _add in tail order.  Above a field each sum is one
+        ProductSum of the coefficient series, multiplied once by -d_0.
         """
         lead = self.leading_exponent()
         exact_monomial = len(self.coeffs) == 1 and self.bound is None
@@ -280,7 +281,9 @@ class LaurentSeries:
             rel = 1
         else:
             rel = self.ring.default_prec if self.bound is None else self.bound - lead
-        field, sigma = self.ring.coeff_ring, self.ring.sigma
+        field, sigma, order = self.ring.coeff_ring, self.ring.sigma, self.ring.sigma_order
+        # maps[k] is sigma^k on representatives, None for the identity
+        maps = [None] + [sigma.power(k)._map for k in range(1, order)]
         on_field = isinstance(field, Field)
         d0 = self.coeffs[lead].inv()
         if on_field:
@@ -290,18 +293,16 @@ class LaurentSeries:
             inv_coeffs = {0: d0}
             neg_d0 = -d0
         tail = [
-            (e - lead, field._mul(neg_d0, c.rep) if on_field else c, _rep_map(sigma, e - lead))
+            (e - lead, field._mul(neg_d0, c.rep) if on_field else c)
             for e, c in self.coeffs.items()
             if 0 < e - lead < rel
         ]
         packer = field._packer(len(tail)) if on_field else None
         if packer is not None:
             pack, fold = packer
-            order = self.ring.sigma_order
             # packed[k][j] is sigma^k(d_j) packed, for 0 <= k < order
-            maps = [_rep_map(sigma, k) for k in range(order)]
             packed = [{0: pack(d0.rep if f is None else f(d0.rep))} for f in maps]
-            tail = [(i, pack(c), packed[i % order]) for i, c, _ in tail]
+            tail = [(i, pack(c), packed[i % order]) for i, c in tail]
             plain, twists = packed[0], list(zip(packed[1:], maps[1:]))
             for m in range(1, rel):
                 acc = 0
@@ -318,28 +319,28 @@ class LaurentSeries:
                             for ds, twist in twists:
                                 ds[m] = pack(twist(d))
         elif on_field:
-            fma, fold, is_zero = field._fma, field._fold, field._is_zero
+            mul, add, is_zero = field._mul, field._add, field._is_zero
+            tail = [(i, c, maps[i % order]) for i, c in tail]
             for m in range(1, rel):
                 acc = None
-                for off, c, twist in tail:
-                    d = inv_coeffs.get(m - off)
+                for i, c, twist in tail:
+                    d = inv_coeffs.get(m - i)
                     if d is not None:
-                        acc = fma(acc, c, d if twist is None else twist(d))
-                if acc is not None:
-                    val = fold(acc)
-                    if not is_zero(val):
-                        inv_coeffs[m] = val
+                        d = mul(c, d if twist is None else twist(d))
+                        acc = d if acc is None else add(acc, d)
+                if acc is not None and not is_zero(acc):
+                    inv_coeffs[m] = acc
         else:
             for m in range(1, rel):
                 total = ProductSum(field)
-                for off, c, _ in tail:
-                    d = inv_coeffs.get(m - off)
+                for i, c in tail:
+                    d = inv_coeffs.get(m - i)
                     if d is not None:
                         total.add(c, d)
                 val = neg_d0 * total.result()
                 if not val.is_zero():
                     inv_coeffs[m] = val
-        untwist = _rep_map(sigma, -lead)
+        untwist = maps[-lead % order]
         out = {}
         for m, d in inv_coeffs.items():
             d = d if untwist is None else untwist(d)
@@ -383,15 +384,6 @@ class LaurentSeries:
 
     def __repr__(self):
         return f"<{self}>"
-
-
-def _rep_map(sigma, k: int):
-    """sigma^k on representatives, or None when it is the identity (sigma
-    None is the untwisted ring)."""
-    if sigma is None:
-        return None
-    sigma_k = sigma.power(k)
-    return None if sigma_k._images is None else sigma_k._map
 
 
 def _product_bound(bound, a_low, a_bound, b_low, b_bound):
@@ -466,74 +458,6 @@ def _add_product(acc: list, a: LaurentSeries, b: LaurentSeries) -> None:
         or not _kronecker_mul_into(acc, a, b, packing)
     ):
         _mul_into(acc, a, b)
-
-
-def _small_exact_terms(s: LaurentSeries):
-    """The field terms of s as (exponents outermost first, representative)
-    when s is exact and has at most two of them, else None."""
-    terms, stack = [], [((), s)]
-    while stack:
-        path, node = stack.pop()
-        if node.bound is not None or len(node.coeffs) > 2:
-            return None
-        if isinstance(node.ring.coeff_ring, Field):
-            if len(terms) + len(node.coeffs) > 2:
-                return None
-            terms += [(path + (e,), c.rep) for e, c in node.coeffs.items()]
-        else:
-            stack += [(path + (e,), c) for e, c in node.coeffs.items()]
-    return terms
-
-
-def _add_shifted(acc: list, ring: SeriesRing, s: list, terms: list) -> None:
-    """Add s*m into acc of ring, for an accumulator s of the untwisted ring
-    and an exact m given by its field terms: one copy of s per term, its
-    exponents shifted by the term's and its coefficients scaled by the
-    term's representative.
-
-    The windows are the pair loop's.  The outer bound is set first, from
-    the least outer exponent of m, by the rule of _product_bound.  Below it a
-    copy lowers the bound of every child it reaches to the bound of s's
-    child plus the term's exponent at that level: a child of m holding one
-    term has that exponent as its least, and one holding both terms has the
-    lesser of the two, which the other copy brings.  No child or term lands
-    at or above a bound so set, which leaves out the terms s holds at or
-    above its own bounds.
-    """
-    coeffs, bound = s
-    if bound is not None:
-        outer = bound + min(path[0] for path, _ in terms)
-        if acc[1] is None or outer < acc[1]:
-            acc[1] = outer
-    field = ring.coeff_ring
-    while isinstance(field, SeriesRing):
-        field = field.coeff_ring
-    for path, rep in terms:
-        _add_copy(acc, coeffs, path, rep, field)
-
-
-def _add_copy(acc: list, coeffs: dict, path: tuple, rep, field) -> None:
-    out, limit = acc
-    shift = path[0]
-    if len(path) == 1:
-        mul, add = field._mul, field._add
-        for e, r in coeffs.items():
-            e += shift
-            if limit is None or e < limit:
-                r = mul(r, rep)
-                out[e] = add(out[e], r) if e in out else r
-        return
-    inner = path[1]
-    for e, (kids, kid_bound) in coeffs.items():
-        e += shift
-        if limit is not None and e >= limit:
-            continue
-        child = out.get(e)
-        if child is None:
-            child = out[e] = [{}, None]
-        if kid_bound is not None and (child[1] is None or kid_bound + inner < child[1]):
-            child[1] = kid_bound + inner
-        _add_copy(child, kids, path[1:], rep, field)
 
 
 class ProductSum:

@@ -42,9 +42,7 @@ from .laurent import (
     Tower,
     TowerElement,
     _add_product,
-    _add_shifted,
     _kronecker_mul_into,
-    _small_exact_terms,
     unit_is_square,
 )
 from .ordered import Lattice, QuotientStructure, _prime_factors, quotient
@@ -672,23 +670,89 @@ def _cell(sums: dict, cells: dict, ring, n: int, k: int, l: int) -> ProductSum:
 def _fold_wraps(alg: SymbolAlgebra, sums: dict, cells: dict) -> None:
     """Fold the cells into the sums of their keys and empty them: i^n = a
     first, into the cell i^(k-n) j^l, then j^n = b.  Each cell is multiplied
-    once; by an a or b of at most two field terms as shifted copies of its
-    accumulator, which is then never boxed."""
-    n, ring = alg.degree, alg.tower.top_ring()
+    once (_wrap)."""
+    n, ring, field = alg.degree, alg.tower.top_ring(), alg.tower.base
     for (k, l), cell in list(cells.items()):
         if k >= n:
-            _wrap(cell, _cell(sums, cells, ring, n, k - n, l), *alg._wraps[0])
+            _wrap(cell, _cell(sums, cells, ring, n, k - n, l), field, *alg._wraps[0])
     for (k, l), cell in cells.items():
         if k < n:
-            _wrap(cell, sums[(k, l - n)], *alg._wraps[1])
+            _wrap(cell, sums[(k, l - n)], field, *alg._wraps[1])
     cells.clear()
 
 
-def _wrap(cell: ProductSum, target: ProductSum, factor, terms) -> None:
+def _small_exact_terms(s):
+    """The field terms of the series s as (exponents outermost first,
+    representative) when s is exact and has at most two of them, else None:
+    the wraps (SymbolAlgebra._wraps) that _wrap takes as shifted copies."""
+    terms, stack = [], [((), s)]
+    while stack:
+        path, node = stack.pop()
+        if node.bound is not None or len(node.coeffs) > 2:
+            return None
+        if isinstance(node.ring.coeff_ring, SeriesRing):
+            stack += [(path + (e,), c) for e, c in node.coeffs.items()]
+        elif len(terms) + len(node.coeffs) > 2:
+            return None
+        else:
+            terms += [(path + (e,), c.rep) for e, c in node.coeffs.items()]
+    return terms
+
+
+def _wrap(cell: ProductSum, target: ProductSum, field, factor, terms) -> None:
+    """Add cell*factor into target, for the wrap factor a or b of an algebra
+    over the field at the tower's base.  The cell is boxed and multiplied,
+    unless terms holds the field terms of an exact factor of at most two
+    (_small_exact_terms): then one copy of the cell's accumulator is added
+    per term, its exponents shifted by the term's and its coefficients
+    scaled by the term's representative, and the cell is never boxed.
+
+    The windows are the pair loop's.  The outer bound is set first, from
+    the least outer exponent of the factor, by the rule of
+    laurent._product_bound.  Below it a copy lowers the bound of every child
+    it reaches to the bound of the cell's child plus the term's exponent at
+    that level: a child of the factor holding one term has that exponent as
+    its least, and one holding both terms has the lesser of the two, which
+    the other copy brings.  No child or term lands at or above a bound so
+    set, which leaves out the terms the cell holds at or above its own
+    bounds.
+    """
     if terms is None:
         target.add(cell.result(), factor)
-    else:
-        _add_shifted(target.acc, target.ring, cell.acc, terms)
+        return
+    acc, (coeffs, bound) = target.acc, cell.acc
+    if bound is not None:
+        outer = bound + min(path[0] for path, _ in terms)
+        if acc[1] is None or outer < acc[1]:
+            acc[1] = outer
+    for path, rep in terms:
+        _add_copy(acc, coeffs, path, rep, field)
+
+
+def _add_copy(acc: list, coeffs: dict, path: tuple, rep, field) -> None:
+    """Add the accumulator terms coeffs, shifted by the exponents path and
+    scaled by rep, into acc, below acc's bounds (_wrap)."""
+    out, limit = acc
+    shift = path[0]
+    if len(path) == 1:
+        mul, add = field._mul, field._add
+        for e, r in coeffs.items():
+            e += shift
+            if limit is None or e < limit:
+                r = mul(r, rep)
+                out[e] = add(out[e], r) if e in out else r
+        return
+    inner = path[1]
+    for e, (kids, kid_bound) in coeffs.items():
+        e += shift
+        if limit is not None and e >= limit:
+            continue
+        child = out.get(e)
+        if child is None:
+            child = out[e] = [{}, None]
+        if kid_bound is not None and (child[1] is None or kid_bound + inner < child[1]):
+            child[1] = kid_bound + inner
+        _add_copy(child, kids, path[1:], rep, field)
 
 
 def _add_rows(alg: SymbolAlgebra, x, y, rows: dict, scaled: dict) -> None:

@@ -454,6 +454,29 @@ def test_extension_keys_and_text_follow_the_coefficients(field):
     assert len(keys) == len({*field.elements()}) == field.size()
 
 
+def test_extension_text_reads_representatives(monkeypatch):
+    """An element of F7[a]/(a^3 - 2) and of the depth-2 F9[v] prints each
+    coordinate from its representative: printing constructs no
+    FieldElement, and the text is the polynomial in the field's variable."""
+    elements = [
+        (F7a.element([3, 1, 0]), "3 + a"),
+        (F7a.element([0, 5, 1]), "5*a + a^2"),
+        (F7a.zero(), "0"),
+        (F81.element([F9.element([1, 2]), F9.one()]), "1 + 2*w + v"),
+        (F81.element([0, F9.element([0, 2])]), "2*w*v"),
+    ]
+    built = []
+    real = FieldElement.__init__
+
+    def counted(self, *args):
+        built.append(args)
+        real(self, *args)
+
+    monkeypatch.setattr(FieldElement, "__init__", counted)
+    assert [str(x) for x, _ in elements] == [text for _, text in elements]
+    assert built == []
+
+
 def _conjugation(field):
     """w -> -w, for a modulus w^2 - c: the nontrivial automorphism over the base."""
     return FieldAutomorphism(field, -field.generator())

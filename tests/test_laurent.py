@@ -1039,17 +1039,25 @@ def _accumulator(s):
 @pytest.mark.parametrize("field", [F7, F343, QQ], ids=["F7", "F7[w]", "Q"])
 @pytest.mark.parametrize("height", [1, 2, 3])
 def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
-    """A truncated accumulator times an exact factor of at most two field
-    terms, as shifted copies, alone and added to an accumulator that already
-    holds a product, equals the naive pair loop in every coefficient and
-    bound at every level, bound-only children included.  Series products of
-    the same operands, on either side, equal it too and take no copies; an
-    algebra product with the exact small slot a = x + y folds its wraps
-    through them."""
+    """A truncated cell times an exact wrap factor of at most two field
+    terms, as shifted copies (symbol._wrap), alone and added to a sum that
+    already holds a product, equals the naive pair loop in every coefficient
+    and bound at every level, bound-only children included.  Series
+    products of the same operands, on either side, equal it too; an algebra
+    product with the exact small slot a = x + y folds its wraps through the
+    copies."""
     rng = random.Random(f"shifted {field}/{height}")
     tower = Tower(field, ["x", "y", "z"][:height])
     ring = tower.top_ring()
-    shifted = _spy(monkeypatch, laurent, "_add_shifted")
+
+    def wrapped(s, m, terms, *held):
+        cell, target = laurent.ProductSum(ring), laurent.ProductSum(ring)
+        cell.acc = _accumulator(s)
+        if held:
+            target.add(*held)
+        symbol._wrap(cell, target, field, m, terms)
+        return target.result()
+
     checked = 0
     while checked < {1: 60, 2: 40, 3: 20}[height]:
         s = _random_series(ring, rng)
@@ -1058,18 +1066,13 @@ def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
         checked += 1
         held = _random_series(ring, rng), _random_series(ring, rng)
         for m in _small_factors(tower, rng):
-            terms = laurent._small_exact_terms(m)
+            terms = symbol._small_exact_terms(m)
             assert terms is not None
-            alone = [{}, None]
-            laurent._add_shifted(alone, ring, _accumulator(s), terms)
-            assert series_plain(laurent._box(ring, alone)) == naive_series_product(s, m)
-            acc = [{}, None]
-            laurent._add_product(acc, *held)
-            laurent._add_shifted(acc, ring, _accumulator(s), terms)
+            assert series_plain(wrapped(s, m, terms)) == naive_series_product(s, m)
+            got = wrapped(s, m, terms, *held)
             want = _naive_sum(naive_series_product(*held), naive_series_product(s, m))
-            assert series_plain(laurent._box(ring, acc)) == want
-            assert series_invariant_breaches(laurent._box(ring, acc)) == []
-            del shifted[:]
+            assert series_plain(got) == want
+            assert series_invariant_breaches(got) == []
             for x, y in ((s, m), (m, s)):
                 assert series_plain(x * y) == naive_series_product(x, y)
                 total = laurent.ProductSum(ring)
@@ -1078,9 +1081,8 @@ def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
                 want = _naive_sum(naive_series_product(*held), naive_series_product(x, y))
                 assert series_plain(total.result()) == want
                 assert series_invariant_breaches(total.result()) == []
-            assert shifted == []
     if height > 1:
-        folded = _spy(monkeypatch, symbol, "_add_shifted")
+        folded = _spy(monkeypatch, symbol, "_wrap")
         x, y = tower.var("x"), tower.var("y")
         alg = SymbolAlgebra(tower, 2, -field.one(), x + y, y)
         u = alg.element({(1, 0): x + tower.one(), (1, 1): y - x * x, (0, 1): tower.one()})
@@ -1089,20 +1091,19 @@ def test_exact_small_factors_add_shifted_copies(monkeypatch, field, height):
             kl: series_plain(c.payload) for kl, c in want.coeffs.items()
         }
         assert len(folded) >= 2
+        assert all(terms is not None for *_, terms in folded)
 
 
-def test_twisted_products_take_no_shifted_copies(monkeypatch):
+def test_twisted_products_take_no_shifted_copies():
     """sigma^e1 acts on the right factor's terms; an exact small factor in a
     twisted ring goes by the pair loop, as every series product does."""
     ring = twisted_ring()
     rng = random.Random("twisted small factors")
-    shifted = _spy(monkeypatch, laurent, "_add_shifted")
     for _ in range(100):
         s = _random_series(ring, rng)
         m = ring.series({e: _random_coefficient(F9, rng) for e in rng.sample(range(-2, 3), 2)})
         for x, y in ((s, m), (m, s)):
             assert series_plain(x * y) == naive_series_product(x, y)
-    assert shifted == []
 
 
 # --- inversion on representatives ---------------------------------------------
@@ -1206,20 +1207,24 @@ def test_dense_inverse_with_every_tail_coordinate_at_its_largest(ring):
 
 def test_inversion_over_an_extension_field_calls_nothing_per_term_pair(monkeypatch):
     """A dense tail at precision 128 makes about 8,000 term pairs.  They are
-    multiplied and added as packed integers, so that one inversion makes no
-    per-pair multiply-add call (ExtensionField._fma) and its Python calls
-    grow with the 128 coefficients, not with the pairs."""
+    multiplied and added as packed integers, so that one inversion
+    multiplies in the field once per tail term (by -d_0), adds in it never,
+    and makes Python calls that grow with the 128 coefficients, not with the
+    pairs."""
     ring = SeriesRing(F343, "t", 128)
     rng = random.Random("no call per term pair")
     x = ring.series({e: _random_coefficient(F343, rng) for e in range(128)} | {0: F343.one()})
-    fma, calls = _spy(monkeypatch, ExtensionField, "_fma"), []
+    calls = []
     sys.setprofile(lambda frame, event, arg: calls.append(event) if event == "call" else None)
     try:
         x.inv()
     finally:
         sys.setprofile(None)
-    assert fma == []
     assert len(calls) < 16 * 128
+    muls, adds = _spy(monkeypatch, ExtensionField, "_mul"), _spy(monkeypatch, ExtensionField, "_add")
+    x.inv()
+    assert len(muls) <= len(x.coeffs) - 1
+    assert adds == []
 
 
 # --- Hensel square roots against the reference lift ---------------------------
