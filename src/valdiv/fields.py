@@ -472,16 +472,19 @@ class ExtensionField(Field):
 
     def _str(self, a):
         """The polynomial of the representatives a (low to high), each base
-        coordinate printed by the base."""
+        coordinate printed by the base, in parentheses before a power of the
+        variable when it prints as a sum, so no two elements share a text."""
         base, terms = self.base, []
         for k, c in enumerate(a):
             if base._is_zero(c):
                 continue
+            text = base._str(c)
             if k == 0:
-                terms.append(base._str(c))
+                terms.append(text)
             else:
                 var = self.var if k == 1 else f"{self.var}^{k}"
-                terms.append(var if c == self._one else f"{base._str(c)}*{var}")
+                text = f"({text})" if " + " in text else text
+                terms.append(var if c == self._one else f"{text}*{var}")
         return " + ".join(terms) if terms else "0"
 
     def describe(self):

@@ -3,8 +3,10 @@
 Every constructive routine here is generate-and-verify: a Hilbert-90 style
 resolvent produces a candidate, conjugation supplies the Galois action, and
 the returned witness is accepted only after exact (certified-precision)
-re-multiplication.  The verdict engine encodes the sufficient conditions for
-a trivial reduced Whitehead group as a rule dispatch that never asserts
+re-multiplication.  Both of the paper's procedures are ordered data walked by
+one loop: the norm-one decomposition tries the routes of `_ROUTES` in turn,
+and the verdict engine returns the first firing row of one table of the
+sufficient conditions for a trivial reduced Whitehead group; it never asserts
 non-triviality.
 """
 
@@ -198,8 +200,8 @@ def hilbert90_decompose(a, sigma, order: int, sample, prefixes=None, accept=None
     The partial products of the norm, prefixes[r] = a sigma(a) ... sigma^r(a),
     serve every attempt; they are formed once here unless passed.  A nonzero
     c is returned once accept(c) holds, by default a * sigma(c) ~ c;
-    `decompose_norm_one` passes its witness's `verify`, which also
-    certifies c a unit.
+    the layer route of `decompose_norm_one` passes its witness's `verify`,
+    which also certifies c a unit.
     """
     if prefixes is None:
         prefixes = _norm_prefixes(a, sigma, order)
@@ -374,34 +376,52 @@ def decompose_norm_one(
 ) -> CommutatorWitness:
     """Write a certified norm-one element as a product of commutators.
 
-    Supported regimes: the identity; elements equal in every certified
-    coefficient to a power of the root of unity, uncertified terms at other
-    keys allowed (their witness is the generator commutator repeated); and
-    elements moved by conjugation by a monomial x0 (j, i, then i^k j^l) into
-    an element they commute with, where that conjugation realizes the Galois
-    action of the cyclic layer and a Hilbert-90 resolvent produces the single
-    commutator [c, x0].  When x0 = j acts on e in F[i] as a phase, it acts
-    as tau, so the resolvent's norm prefixes are the head of e's
-    `conjugate_chain`, which its norm formed.  Each candidate c is accepted
-    by the witness's own `CommutatorWitness.verify`, so everything returned
-    has passed it, and no identity is checked twice.
+    Walks `_ROUTES` in order and returns the first witness a route makes;
+    every route returns a witness that has passed `CommutatorWitness.verify`
+    or refuses with a DegenerateDecompositionError, and when every route
+    refuses, the last refusal is raised.  Any other error ends the walk.
     """
     rng = rng or random.Random(0)
-    e = cert.element
+    # no refusal is bound: one kept in a local would cycle through its traceback
+    *head, last = _ROUTES
+    for route in head:
+        try:
+            return route(cert.element, rng)
+        except DegenerateDecompositionError:
+            pass
+    return last(cert.element, rng)
+
+
+def _scalar_witness(e: AlgebraElement, rng: random.Random) -> CommutatorWitness:
+    """[j, i]^k for an element equal to omega^k in every certified
+    coefficient, uncertified terms at other keys allowed; the identity is
+    k = 0, with no factor.  It draws nothing from rng."""
     alg = e.algebra
-
-    if _equalish(e, alg.one()):
-        return CommutatorWitness((), e)
-
     if all(kl == (0, 0) for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()):
-        witness = _scalar_witness(e, alg)
-        if witness is not None:
-            return witness
-        if e.is_scalar():
-            raise DegenerateDecompositionError(
-                "central norm-one scalar outside the root-of-unity image"
-            )
+        s, power = e.scalar_part(), alg.tower.one()
+        for k in range(alg.degree):
+            if _equalish(s, power):
+                witness = CommutatorWitness(((alg.j(), alg.i()),) * k, e)
+                if witness.verify():
+                    return witness
+                break
+            power = power.scale(alg.omega)
+    raise DegenerateDecompositionError("not a power of omega in every certified coefficient")
 
+
+def _layer_witness(e: AlgebraElement, rng: random.Random) -> CommutatorWitness:
+    """[c, x0] for an element that conjugation by a monomial x0 (j, i, then
+    i^k j^l) moves into an element it commutes with.  That conjugation
+    realizes the Galois action of the cyclic layer, and c is a Hilbert-90
+    resolvent.  When x0 = j acts on e in F[i] as a phase, it acts as tau,
+    so the resolvent's norm prefixes are the head of e's `conjugate_chain`,
+    which its norm formed.  Each candidate c is accepted by the witness's
+    own `verify`, so no identity is checked twice."""
+    if e.is_scalar():
+        raise DegenerateDecompositionError(
+            "central norm-one scalar outside the root-of-unity image"
+        )
+    alg = e.algebra
     conj_by, order = _search_monomial_conjugator(e)
     sigma = conjugation(conj_by)
 
@@ -427,15 +447,8 @@ def decompose_norm_one(
     return witness(c)
 
 
-def _scalar_witness(e: AlgebraElement, alg: SymbolAlgebra):
-    s = e.scalar_part()
-    power = alg.tower.one()
-    for k in range(alg.degree):
-        if _equalish(s, power):
-            witness = CommutatorWitness(((alg.j(), alg.i()),) * k, e)
-            return witness if witness.verify() else None
-        power = power.scale(alg.omega)
-    return None
+# the routes `decompose_norm_one` walks, in order
+_ROUTES = (_scalar_witness, _layer_witness)
 
 
 def _search_monomial_conjugator(e: AlgebraElement) -> tuple[AlgebraElement, int]:
@@ -544,16 +557,18 @@ def verdict(
 ) -> Verdict:
     """Dispatch the sufficient conditions for a trivial reduced Whitehead group.
 
-    Rule order: the two rank cases of the main criterion, then the
-    square-free index rule, then the dimension-at-most-2 rule, then the
-    rank-zero inertially-split fallback, which also needs the caller-supplied
-    hint "inertially_split_residue_is_field", since residue algebras are not
-    computed in general.  The rank cases and the fallback need cd_q(F)
-    exactly 3 (so a finite residue dimension) and a q-primary degree.  Reports
-    "unknown" only when every hypothesis holds and no sufficient condition
-    fires; "not_applicable" when a standing hypothesis fails.  The profile
-    must have one Laurent layer per level of the report's value group, as r_q
-    is read from the profile; a UsageError otherwise.
+    q equal to the residue characteristic is "not_applicable" first, as
+    cd_q(F) is not read there.  Otherwise the first firing row of one ordered
+    table decides: the two rank cases of the main criterion, the square-free
+    index rule, the dimension-at-most-2 rule, the rank-zero inertially-split
+    fallback, which also needs the caller-supplied hint
+    "inertially_split_residue_is_field", since residue algebras are not
+    computed in general; then "not_applicable" when a standing hypothesis
+    fails, and "unknown" when every hypothesis holds and no sufficient
+    condition fires.  The rank cases and the fallback need cd_q(F) exactly 3
+    (so a finite residue dimension) and a q-primary degree.  The profile must
+    have one Laurent layer per level of the report's value group, as r_q is
+    read from the profile; a UsageError otherwise.
     """
     layers = report.value_group.ambient_rank
     if profile.height != layers:
@@ -580,68 +595,34 @@ def verdict(
     cd_exact_3 = cd.kind == "exact" and cd.value == 3
     # the standing hypotheses of the paper's rank rules
     rank_rules = cd_exact_3 and q_primary
-
-    if rank_rules and 1 <= r_q <= 3:
-        return Verdict(
-            "trivial",
-            "rank_one_to_three",
-            f"cd_q(F) = 3 with finite residue dimension, degree {deg} is"
-            f" {q}-primary and the q-rank is {r_q} (between 1 and 3):"
-            " the reduced Whitehead group is trivial",
-            inputs,
-        )
-    if rank_rules and r_q == 0 and (report.is_semiramified or report.is_totally_ramified):
-        return Verdict(
-            "trivial",
-            "rank_zero_semiramified_or_totally_ramified",
-            "q-rank 0 with a semiramified or totally ramified algebra forces"
-            " the value groups to coincide and the group collapses",
-            inputs,
-        )
-    if prod(_prime_factors(deg)) == deg:
-        return Verdict(
-            "trivial",
-            "squarefree_index",
-            f"the index divides the square-free degree {deg}, which always"
-            " gives a trivial reduced Whitehead group",
-            inputs,
-        )
-    if cd.kind == "exact" and cd.value is not None and cd.value <= 2 and q_primary:
-        return Verdict(
-            "trivial",
-            "cohomological_dimension_at_most_two",
-            f"cd_q(F) = {cd.value} <= 2 with a {q}-primary index is a known"
-            " triviality regime",
-            inputs,
-        )
-    hint = (residue_hints or {}).get("inertially_split_residue_is_field")
-    if rank_rules and r_q == 0 and hint:
-        return Verdict(
-            "trivial",
-            "rank_zero_inertially_split_field_residue",
-            "q-rank 0 reduces to an inertially split algebra whose residue"
-            " algebra is a field, hence semiramified and trivial",
-            inputs,
-        )
-    if not q_primary:
-        return Verdict(
-            "not_applicable",
-            None,
-            f"degree {deg} is not a power of {q}; the q-primary hypothesis fails",
-            inputs,
-        )
-    if not cd_exact_3:
-        return Verdict(
-            "not_applicable",
-            None,
-            _cd_not_exactly_3(cd),
-            inputs,
-        )
-    return Verdict(
-        "unknown",
-        None,
-        "no sufficient condition applies: q-rank 0 with a division algebra"
-        " that is neither semiramified nor totally ramified lies outside the"
-        " proved cases",
-        inputs,
+    rank_zero = rank_rules and r_q == 0
+    # (fires, conclusion, case, reasoning), in the order they are tried
+    rules = (
+        (rank_rules and 1 <= r_q <= 3, "trivial", "rank_one_to_three",
+         f"cd_q(F) = 3 with finite residue dimension, degree {deg} is"
+         f" {q}-primary and the q-rank is {r_q} (between 1 and 3):"
+         " the reduced Whitehead group is trivial"),
+        (rank_zero and (report.is_semiramified or report.is_totally_ramified),
+         "trivial", "rank_zero_semiramified_or_totally_ramified",
+         "q-rank 0 with a semiramified or totally ramified algebra forces"
+         " the value groups to coincide and the group collapses"),
+        (prod(_prime_factors(deg)) == deg, "trivial", "squarefree_index",
+         f"the index divides the square-free degree {deg}, which always"
+         " gives a trivial reduced Whitehead group"),
+        (cd.kind == "exact" and cd.value is not None and cd.value <= 2 and q_primary,
+         "trivial", "cohomological_dimension_at_most_two",
+         f"cd_q(F) = {cd.value} <= 2 with a {q}-primary index is a known"
+         " triviality regime"),
+        (rank_zero and (residue_hints or {}).get("inertially_split_residue_is_field"),
+         "trivial", "rank_zero_inertially_split_field_residue",
+         "q-rank 0 reduces to an inertially split algebra whose residue"
+         " algebra is a field, hence semiramified and trivial"),
+        (not q_primary, "not_applicable", None,
+         f"degree {deg} is not a power of {q}; the q-primary hypothesis fails"),
+        (not cd_exact_3, "not_applicable", None, _cd_not_exactly_3(cd)),
+        (True, "unknown", None,
+         "no sufficient condition applies: q-rank 0 with a division algebra"
+         " that is neither semiramified nor totally ramified lies outside the"
+         " proved cases"),
     )
+    return Verdict(*next(row[1:] for row in rules if row[0]), inputs)

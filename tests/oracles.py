@@ -708,9 +708,12 @@ def two_check_decomposition(e, rng):
     if equalish(e, one):
         return ()
     if all(kl == (0, 0) for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()):
-        witness = sk1._scalar_witness(e, alg)
-        if witness is not None:
-            return witness.factors
+        # the scalar witness [j, i]^k for e ~ omega^k, the first such k
+        k = next((k for k in range(alg.degree) if equalish(e, alg.scalar(alg.omega**k))), None)
+        if k is not None:
+            witness = sk1.CommutatorWitness(((alg.j(), alg.i()),) * k, e)
+            if witness.verify():
+                return witness.factors
         if e.is_scalar():
             raise DegenerateDecompositionError(
                 "central norm-one scalar outside the root-of-unity image"

@@ -477,6 +477,15 @@ def test_extension_text_reads_representatives(monkeypatch):
     assert built == []
 
 
+def test_depth_two_text_tells_every_element_apart():
+    """Over F9[v] a base coordinate that prints as a sum is parenthesised
+    before a power of v, so the 81 elements print 81 texts: [0, 1 + w] is
+    (1 + w)*v and [1, w] is 1 + w*v."""
+    texts = {str(x) for x in F81.elements()}
+    assert len(texts) == 81
+    assert str(F81.element([0, F9.element([1, 1])])) == "(1 + w)*v"
+    assert str(F81.element([1, F9.element([0, 1])])) == "1 + w*v"
+
 def _conjugation(field):
     """w -> -w, for a modulus w^2 - c: the nontrivial automorphism over the base."""
     return FieldAutomorphism(field, -field.generator())

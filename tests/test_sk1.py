@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -688,6 +690,77 @@ def test_verdict_never_trivial_on_boundary_regression():
         assert v.conclusion == "unknown"
 
 
+def _tower_verdict_args(alg, q):
+    return profile_from_tower(alg.tower), alg.classify(), q
+
+
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (
+            lambda: _tower_verdict_args(make_symbol_xy(3, 7), 7),
+            ("not_applicable", None, "q = 7 equals the residue characteristic; the coprimality"
+             " hypothesis fails"),
+        ),
+        (
+            lambda: _tower_verdict_args(make_symbol_xy(3, 7), 3),
+            ("trivial", "rank_one_to_three", "cd_q(F) = 3 with finite residue dimension, degree 3"
+             " is 3-primary and the q-rank is 2 (between 1 and 3): the reduced Whitehead group"
+             " is trivial"),
+        ),
+        (
+            lambda: (declared_profile({2: 3}), _rank_zero_report(4, 4, semi=True), 2),
+            ("trivial", "rank_zero_semiramified_or_totally_ramified", "q-rank 0 with a"
+             " semiramified or totally ramified algebra forces the value groups to coincide and"
+             " the group collapses"),
+        ),
+        (
+            lambda: _tower_verdict_args(make_quaternion_f5(), 2),
+            ("trivial", "squarefree_index", "the index divides the square-free degree 2, which"
+             " always gives a trivial reduced Whitehead group"),
+        ),
+        (
+            lambda: (declared_profile({2: 2}), _rank_zero_report(4, 1), 2),
+            ("trivial", "cohomological_dimension_at_most_two", "cd_q(F) = 2 <= 2 with a 2-primary"
+             " index is a known triviality regime"),
+        ),
+        (
+            lambda: (
+                declared_profile({2: 3}), _rank_zero_report(4, 1), 2,
+                {"inertially_split_residue_is_field": True},
+            ),
+            ("trivial", "rank_zero_inertially_split_field_residue", "q-rank 0 reduces to an"
+             " inertially split algebra whose residue algebra is a field, hence semiramified and"
+             " trivial"),
+        ),
+        (
+            lambda: (declared_profile({2: 3}), _rank_zero_report(12, 1), 2),
+            ("not_applicable", None, "degree 12 is not a power of 2; the q-primary hypothesis"
+             " fails"),
+        ),
+        (
+            lambda: (declared_profile({2: INF}), _rank_zero_report(4, 1), 2),
+            ("not_applicable", None, "cd_q(F) is infinite, not exactly 3; assert an exact value to"
+             " enable the rank rules"),
+        ),
+        (
+            lambda: (declared_profile({2: 3}), _rank_zero_report(4, 1), 2),
+            ("unknown", None, "no sufficient condition applies: q-rank 0 with a division algebra"
+             " that is neither semiramified nor totally ramified lies outside the proved cases"),
+        ),
+    ],
+    ids=[
+        "residue_char", "rank_one_to_three", "rank_zero_semiramified", "squarefree_index",
+        "cd_at_most_two", "rank_zero_hint", "not_q_primary", "cd_not_exactly_3", "unknown",
+    ],
+)
+def test_verdict_rows_give_their_conclusion_case_and_reasoning(args, expected):
+    """The residue-characteristic return and each row of the verdict table,
+    first to last: conclusion, case and reasoning as the rule dispatch that
+    the table replaced gave them."""
+    v = verdict(*args())
+    assert (v.conclusion, v.rule, v.reasoning) == expected
+
 def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
     """The algebra keeps one i and one j, so the reduced characteristic
     polynomial of j, which the random norm-one element and its decomposition
@@ -993,6 +1066,101 @@ def test_an_element_scalar_to_precision_fixed_by_every_monomial_gets_the_scalar_
     with pytest.raises(NormCertificateError, match="norm along the cyclic layer"):
         hilbert90_decompose(e, conjugation(x0), order, None)
 
+
+
+def test_the_engine_walks_the_route_tuple(monkeypatch):
+    """decompose_norm_one tries sk1._ROUTES in order: with one route left,
+    omega and an element of F[i] each get that route's refusal instead of
+    their witness, and in either order both decompose as before."""
+    alg = make_symbol_xy(3, 7)
+    omega = alg.scalar(alg.omega)
+    layered = _random_norm_one_in_i_span(alg, random.Random(7))
+
+    def outcomes():
+        return [decomposition_outcome(e, 5) for e in (omega, layered)]
+
+    default = outcomes()
+    assert default[0] == ("witness", (("j", "i"),))
+    assert default[1][0] == "witness" and default[1][1][0][1] == "j"
+    monkeypatch.setattr(sk1, "_ROUTES", (sk1._layer_witness,))
+    assert outcomes()[0] == (
+        "DegenerateDecompositionError",
+        "central norm-one scalar outside the root-of-unity image",
+    )
+    assert outcomes()[1] == default[1]
+    monkeypatch.setattr(sk1, "_ROUTES", (sk1._scalar_witness,))
+    assert outcomes() == [
+        default[0],
+        ("DegenerateDecompositionError", "not a power of omega in every certified coefficient"),
+    ]
+    monkeypatch.setattr(sk1, "_ROUTES", (sk1._layer_witness, sk1._scalar_witness))
+    assert outcomes() == default
+
+
+def test_only_a_refusal_moves_the_walk_on(monkeypatch):
+    """A route's DegenerateDecompositionError passes the element to the next
+    route, and the last refusal is raised; any other error ends the walk."""
+    alg = make_symbol_xy(3, 7)
+    tried = []
+
+    def route(error):
+        def refuse(e, rng):
+            tried.append(error.__name__)
+            raise error(error.__name__)
+
+        return refuse
+
+    cert = certify_norm_one(alg.scalar(alg.omega))
+    refusal, other = route(DegenerateDecompositionError), route(NormCertificateError)
+    monkeypatch.setattr(sk1, "_ROUTES", (refusal, other, refusal))
+    with pytest.raises(NormCertificateError):
+        decompose_norm_one(cert)
+    assert tried == ["DegenerateDecompositionError", "NormCertificateError"]
+    monkeypatch.setattr(sk1, "_ROUTES", (refusal, sk1._scalar_witness))
+    assert decompose_norm_one(cert).factors == ((alg.j(), alg.i()),)
+    monkeypatch.setattr(sk1, "_ROUTES", (sk1._layer_witness, refusal))
+    with pytest.raises(DegenerateDecompositionError, match="^DegenerateDecompositionError$"):
+        decompose_norm_one(cert)
+
+
+def test_the_walk_frees_a_refusal_without_the_cyclic_collector(monkeypatch):
+    """A refusal held in the walk's frame would form a cycle with its
+    traceback, which holds that frame, so every decomposition that moves
+    past a route would leave garbage for the collector; it is freed at once."""
+    refusals = []
+
+    class Refusal(DegenerateDecompositionError):
+        def __init__(self, *args):
+            super().__init__(*args)
+            refusals.append(weakref.ref(self))
+
+    def refuse(e, rng):
+        raise Refusal("refused")
+
+    alg = make_symbol_xy(3, 7)
+    cert = certify_norm_one(alg.scalar(alg.omega))
+    monkeypatch.setattr(sk1, "_ROUTES", (refuse, sk1._scalar_witness))
+    gc.disable()
+    try:
+        assert decompose_norm_one(cert).factors == ((alg.j(), alg.i()),)
+        assert len(refusals) == 1 and refusals[0]() is None
+    finally:
+        gc.enable()
+
+def test_the_identity_to_precision_is_the_scalar_witness_at_k_0():
+    """e = 1 + O(y^9) i + O(y^5) j^2 is 1 in every certified coefficient: the
+    scalar route returns the empty witness, and the layer route, which finds
+    no monomial that moves e, refuses it."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    tower = alg.tower
+    e = alg.one() + alg.monomial(1, 0, parse_series("O(y^9)", tower))
+    e = e + alg.monomial(0, 2, parse_series("O(y^5)", tower))
+    assert [kl for kl, c in e.coeffs.items() if not c.indistinguishable_from_zero()] == [(0, 0)]
+    assert not e.is_scalar()
+    witness = decompose_norm_one(certify_norm_one(e))
+    assert witness == CommutatorWitness((), e) == sk1._scalar_witness(e, None)
+    with pytest.raises(DegenerateDecompositionError, match="recognized conjugation-cyclic layer"):
+        sk1._layer_witness(e, random.Random(0))
 
 # ---------------------------------------------------------------------------
 # verification without inverses: the unit certificate and the product oracle
