@@ -31,7 +31,7 @@ from .fields import (
     PrimeField,
     primitive_root_of_unity,
 )
-from .laurent import DEFAULT_PRECISION, Tower, TowerElement
+from .laurent import DEFAULT_PRECISION, Tower, TowerElement, _payload_parts
 from .ordered import is_prime
 from .profiles import INF, FieldProfile, ResidueBase, residue_base
 from .symbol import SymbolAlgebra
@@ -170,10 +170,6 @@ def _parse_field_base(tokens: _Tokens) -> Field:
     return base
 
 
-def print_field(field: Field) -> str:
-    return field.describe()
-
-
 # ---------------------------------------------------------------------------
 # towers and profiles
 
@@ -203,10 +199,6 @@ def parse_tower(text: str, default_prec: int = DEFAULT_PRECISION) -> Tower:
 def _parse_tower_inner(tokens: _Tokens, default_prec: int) -> Tower:
     base = _parse_field_base(tokens)
     return Tower(base, _parse_tower_suffix(tokens, base), default_prec=default_prec)
-
-
-def print_tower(tower: Tower) -> str:
-    return tower.describe()
 
 
 def parse_profile(text: str) -> FieldProfile:
@@ -403,22 +395,10 @@ def parse_series(text: str, tower: Tower) -> TowerElement:
 def print_series(element: TowerElement) -> str:
     """Flat monomial rendering with explicit truncation markers."""
     tower = element.tower
-    terms: list[tuple[tuple[int, ...], FieldElement]] = []
-    markers: list[tuple[tuple[int, ...], int]] = []
-
-    def walk(payload, prefix):
-        if isinstance(payload, FieldElement):
-            terms.append((prefix, payload))
-            return
-        if payload.bound is not None:
-            markers.append((prefix, payload.bound))
-        for e in sorted(payload.coeffs):
-            walk(payload.coeffs[e], prefix + (e,))
-
-    walk(element.payload, ())
-    parts = []
-    for exps, coeff in sorted(terms):
-        parts.append(_render_term(tower, exps, coeff))
+    terms, markers = [], []
+    for path, part in _payload_parts(element.payload):
+        (terms if isinstance(part, FieldElement) else markers).append((path, part))
+    parts = [_render_term(tower, exps, coeff) for exps, coeff in sorted(terms)]
     for prefix, bound in sorted(markers):
         names = [tower.variables[tower.height - 1 - d] for d in range(len(prefix) + 1)]
         frags = [

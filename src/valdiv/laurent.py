@@ -918,16 +918,7 @@ class TowerElement:
         """Multiply by a base-field constant without building a full product."""
         if c.field != self.tower.base:
             raise DescriptorMismatchError("scalar from a different base field")
-
-        def go(payload):
-            if isinstance(payload, FieldElement):
-                return payload * c
-            # a zero c leaves truncated zeros, which keep their bounds
-            return payload.ring.series(
-                {e: go(v) for e, v in payload.coeffs.items()}, payload.bound
-            )
-
-        return TowerElement(self.tower, go(self.payload))
+        return TowerElement(self.tower, _payload_scaled(self.payload, c))
 
     def is_zero(self) -> bool:
         return self.payload.is_zero()
@@ -1013,8 +1004,27 @@ def _payload_certifies_origin(payload) -> bool:
 
 
 def _payload_exact(payload) -> bool:
-    return isinstance(payload, FieldElement) or (
-        payload.bound is None and all(_payload_exact(c) for c in payload.coeffs.values())
+    return all(isinstance(part, FieldElement) for _, part in _payload_parts(payload))
+
+
+def _payload_parts(payload, path=()):
+    """Each field term as (exponents outermost first, coefficient) and each
+    truncation marker as (exponents of its series, bound), depth first."""
+    if isinstance(payload, FieldElement):
+        yield path, payload
+        return
+    if payload.bound is not None:
+        yield path, payload.bound
+    for e, c in payload.coeffs.items():
+        yield from _payload_parts(c, path + (e,))
+
+
+def _payload_scaled(payload, c: FieldElement):
+    if isinstance(payload, FieldElement):
+        return payload * c
+    # a zero c leaves truncated zeros, which keep their bounds
+    return payload.ring.series(
+        {e: _payload_scaled(v, c) for e, v in payload.coeffs.items()}, payload.bound
     )
 
 

@@ -195,9 +195,9 @@ class QuotientStructure:
     def __post_init__(self):
         fs = self.invariant_factors
         if any(d < 2 for d in fs):
-            raise ValueError("invariant factors must be >= 2")
+            raise UsageError("invariant factors must be >= 2")
         if any(fs[i + 1] % fs[i] for i in range(len(fs) - 1)):
-            raise ValueError("invariant factors must form a divisibility chain")
+            raise UsageError("invariant factors must form a divisibility chain")
 
     @property
     def order(self) -> int:

@@ -118,7 +118,7 @@ def _twisted_demo() -> dict:
     wt = ring.constant(w**3) * t
     theta_action = theta(ring, 1, ring.constant(w))
     return {
-        "coefficients": "F3[w]/(1 + w^2)",
+        "coefficients": F9.describe(),
         "twist": f"t*w = {tw}",
         "twist_matches_frobenius": tw == wt,
         "central_element": str(x),
@@ -129,7 +129,7 @@ def _twisted_demo() -> dict:
             "t_is_central": t.is_central(),
         },
         "residue_action_of_t": str(theta_action),
-        "degree_over_center": 2,
+        "degree_over_center": ring.sigma_order,
         "basis_over_center": ["1", "w", "t", "w*t"],
     }
 
@@ -432,19 +432,11 @@ def _suite_graded(rng, cases):
 
 
 def _suite_witnesses(rng, cases):
-    failures = 0
     alg = build_quaternion_example(16)
-    for _ in range(cases):
-        try:
-            witness = decompose_norm_one(_random_norm_one(alg, rng), rng)
-            if not witness.verify():
-                failures += 1
-        except DegenerateDecompositionError:
-            failures += 1
+    batch = sk1_witness_batch(alg, cases, seed=rng.getrandbits(32))
+    failures = sum(not entry["verified"] for entry in batch)
     kap = kappa(alg, alg.v_of_i(), alg.v_of_j())
-    if not kap.element.is_scalar():
-        failures += 1
-    return failures
+    return failures + (not kap.element.is_scalar())
 
 
 def _suite_verdicts(_rng, _cases):

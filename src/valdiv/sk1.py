@@ -27,7 +27,7 @@ from .errors import (
     PrecisionExhaustedError,
     UsageError,
 )
-from .laurent import INFINITE_VALUATION
+from .laurent import INFINITE_VALUATION, _payload_parts
 from .ordered import QuotientStructure, _prime_factors
 from .symbol import AlgebraElement, RamificationReport, SymbolAlgebra, _norm_prefixes, _phase
 
@@ -329,7 +329,7 @@ def _nullspace(alg, mat):
             entry = mat[r][col]
             if entry.indistinguishable_from_zero():
                 continue
-            cost = _term_count(entry)
+            cost = sum(1 for _ in _payload_parts(entry.payload))
             if best is None or cost < best[0]:
                 best = (cost, r)
         if best is None:
@@ -353,17 +353,6 @@ def _nullspace(alg, mat):
             vec[pc] = -mat[pr][fc]
         kernel.append(vec)
     return kernel
-
-
-def _term_count(tower_elem) -> int:
-    def count(payload):
-        if not hasattr(payload, "coeffs"):
-            return 1
-        return sum(count(c) for c in payload.coeffs.values()) + (
-            0 if payload.bound is None else 1
-        )
-
-    return count(tower_elem.payload)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from .errors import (
@@ -43,6 +44,7 @@ from .laurent import (
     TowerElement,
     _add_product,
     _kronecker_mul_into,
+    _payload_parts,
     unit_is_square,
 )
 from .ordered import Lattice, QuotientStructure, _prime_factors, quotient
@@ -685,18 +687,10 @@ def _small_exact_terms(s):
     """The field terms of the series s as (exponents outermost first,
     representative) when s is exact and has at most two of them, else None:
     the wraps (SymbolAlgebra._wraps) that _wrap takes as shifted copies."""
-    terms, stack = [], [((), s)]
-    while stack:
-        path, node = stack.pop()
-        if node.bound is not None or len(node.coeffs) > 2:
-            return None
-        if isinstance(node.ring.coeff_ring, SeriesRing):
-            stack += [(path + (e,), c) for e, c in node.coeffs.items()]
-        elif len(terms) + len(node.coeffs) > 2:
-            return None
-        else:
-            terms += [(path + (e,), c.rep) for e, c in node.coeffs.items()]
-    return terms
+    parts = list(islice(_payload_parts(s), 3))
+    if len(parts) > 2 or not all(isinstance(c, FieldElement) for _, c in parts):
+        return None
+    return [(path, c.rep) for path, c in parts]
 
 
 def _wrap(cell: ProductSum, target: ProductSum, field, factor, terms) -> None:

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from valdiv import laurent, pipeline
 from valdiv.cli import _text_lines, main
+from valdiv.errors import DegenerateDecompositionError
 from valdiv.grammar import parse_algebra, print_algebra
 from valdiv.pipeline import run_example, selftest, sk1_witness_batch
 from valdiv.profiles import profile_from_tower
@@ -307,6 +309,44 @@ def test_witness_batch_verifies_each_witness_once(monkeypatch):
     witnesses = [entry["witness"] for entry in batch if entry["witness"]]
     assert witnesses and all(entry["verified"] for entry in batch)
     assert len(calls) == len(witnesses)
+
+
+def test_selftest_verifies_each_witness_once(monkeypatch):
+    """The witness suite counts the unverified entries of one batch, whose
+    verification of each witness, the identity's included, is the only one."""
+    calls, batches = [], []
+    verify, batch = CommutatorWitness.verify, pipeline.sk1_witness_batch
+
+    def spy(witness):
+        calls.append(witness)
+        return verify(witness)
+
+    def kept(*args, **kwargs):
+        batches.append(batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(CommutatorWitness, "verify", spy)
+    monkeypatch.setattr(pipeline, "sk1_witness_batch", kept)
+    assert pipeline._suite_witnesses(random.Random(0), 4) == 0
+    assert len(batches) == 1 and len(calls) == len(batches[0]) == 4
+
+
+def test_a_refused_decomposition_is_an_unverified_entry(monkeypatch, capsys):
+    """A refusal is recorded in its entry; sk1-witness then exits 1 with its
+    JSON report, and the selftest suite counts each refusal as a failure."""
+
+    def refuse(cert, rng):
+        raise DegenerateDecompositionError("refused")
+
+    monkeypatch.setattr(pipeline, "decompose_norm_one", refuse)
+    batch = sk1_witness_batch(make_quaternion_f5(), count=2, seed=11)
+    assert [(e["witness"], e["verified"], e["error"]) for e in batch] == [
+        (None, False, "refused")
+    ] * 2
+    code, out = _run(capsys, "sk1-witness", "--algebra", _QUATERNION, "--count", "2", "--seed", "11")
+    assert code == 1
+    assert json.loads(out)["witnesses"] == batch
+    assert pipeline._suite_witnesses(random.Random(0), 3) == 3
 
 
 def _assert_input_error(capsys, *argv):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from valdiv.errors import InfiniteIndexError, NotASubgroupError, RankMismatchError
+from valdiv.errors import InfiniteIndexError, NotASubgroupError, RankMismatchError, ValdivError
 from valdiv.ordered import (
     _MR_LIMIT,
     Lattice,
@@ -152,8 +152,9 @@ def test_torsion_rank_and_cyclicity():
 def test_quotient_structure_validation():
     with pytest.raises(ValueError):
         QuotientStructure((1, 2))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as info:
         QuotientStructure((4, 2))
+    assert isinstance(info.value, ValdivError)
 
 
 def test_convex_chain_examples():

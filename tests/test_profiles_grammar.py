@@ -13,10 +13,8 @@ from valdiv.grammar import (
     parse_series,
     parse_tower,
     print_algebra,
-    print_field,
     print_profile,
     print_series,
-    print_tower,
 )
 from valdiv.laurent import Tower
 from valdiv.profiles import INF, FieldProfile, ResidueBase, declared_profile, profile_from_tower
@@ -39,7 +37,7 @@ def test_parse_field_descriptors():
 def test_field_round_trip():
     for text in ["Q", "F5", "F7[w]/(3 + w + w^2)", "Q[z]/(1 + z^2)"]:
         field = parse_field(text)
-        assert parse_field(print_field(field)) == field
+        assert parse_field(field.describe()) == field
 
 
 def test_parse_errors_are_positioned():
@@ -145,7 +143,7 @@ def test_parse_tower():
     assert tow.base == PrimeField(5)
     assert tow.variables == ("x", "y")
     assert tow.default_prec == 8
-    assert parse_tower(print_tower(tow)) == tow
+    assert parse_tower(tow.describe()) == tow
     assert parse_tower("F5((x))((y))  \n", default_prec=8) == tow
 
 

@@ -26,7 +26,7 @@ from valdiv.fields import (
     has_order,
     multiplicative_order,
 )
-from valdiv.grammar import parse_algebra, parse_series
+from valdiv.grammar import parse_algebra, parse_series, print_algebra
 from valdiv.pipeline import sk1_witness_batch
 from valdiv.profiles import INF, declared_profile, profile_from_tower
 from valdiv.sk1 import (
@@ -1146,6 +1146,31 @@ def test_the_walk_frees_a_refusal_without_the_cyclic_collector(monkeypatch):
         assert len(refusals) == 1 and refusals[0]() is None
     finally:
         gc.enable()
+
+
+def test_the_series_walks_leave_nothing_for_the_cyclic_collector():
+    """Scaling, the pivots' term count and the printer walk a nested series
+    by module-level functions, so with the collector off none of them, and
+    nothing of a witness batch, a reduced norm and characteristic polynomial
+    at degree 5 or a Skolem-Noether conjugator, leaves a reference cycle."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    quintic = make_symbol_xy(5, 11, 8)
+    e = random_algebra_element(quintic, random.Random(5), terms=3)
+    i = alg.i()
+    target = i.scale(alg.omega)
+    gc.collect()
+    gc.disable()
+    try:
+        assert alg.a.scale(alg.omega) == alg.a * alg.tower.constant(alg.omega)
+        assert sk1._nullspace(alg, [[alg.a, alg.b], [alg.a, alg.b]])
+        assert print_algebra(alg) == alg.describe()
+        assert sk1_witness_batch(alg, count=1, seed=0)[0]["verified"] is True
+        assert -e.prd()[0] == e.nrd()
+        assert conjugator_check(skolem_noether_conjugator(i, target, random.Random(2)), i, target)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
 
 def test_the_identity_to_precision_is_the_scalar_witness_at_k_0():
     """e = 1 + O(y^9) i + O(y^5) j^2 is 1 in every certified coefficient: the
