@@ -491,7 +491,7 @@ class ExtensionField(Field):
         return f"{self.base.describe()}[{self.var}]/({self._str(self._mod_reps)})"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, ExtensionField)
             and other.base == self.base
             and other.var == self.var

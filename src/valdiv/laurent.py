@@ -129,7 +129,7 @@ class SeriesRing:
         self.series_class = LaurentSeries if sigma is None else TwistedSeries
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, SeriesRing)
             and other.var == self.var
             and other.coeff_ring == self.coeff_ring
@@ -816,7 +816,7 @@ class Tower:
         return self.rings[-1] if self.rings else self.base
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Tower)
             and other.base == self.base
             and other.variables == self.variables
@@ -1019,13 +1019,27 @@ def _payload_parts(payload, path=()):
         yield from _payload_parts(c, path + (e,))
 
 
+def _payload_constant(payload) -> FieldElement | None:
+    """The base-field value of an exact constant (a single term at exponent
+    0 at every level, no truncation marker), else None."""
+    while not isinstance(payload, FieldElement):
+        if payload.bound is not None or len(payload.coeffs) != 1 or 0 not in payload.coeffs:
+            return None
+        payload = payload.coeffs[0]
+    return payload
+
+
 def _payload_scaled(payload, c: FieldElement):
+    """c times the payload term by term, every bound kept: the product by
+    the exact constant c, with no product kernel, whose windows are these by
+    the rule of _product_bound.  Only a zero c makes zero terms or exact-zero
+    children, so only then does ring.series clean the result."""
     if isinstance(payload, FieldElement):
         return payload * c
-    # a zero c leaves truncated zeros, which keep their bounds
-    return payload.ring.series(
-        {e: _payload_scaled(v, c) for e, v in payload.coeffs.items()}, payload.bound
-    )
+    ring, coeffs = payload.ring, {e: _payload_scaled(v, c) for e, v in payload.coeffs.items()}
+    if c.is_zero():
+        return ring.series(coeffs, payload.bound)
+    return ring.series_class(ring, coeffs, payload.bound)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,7 @@ from .laurent import (
     TowerElement,
     _add_product,
     _kronecker_mul_into,
+    _payload_constant,
     _payload_parts,
     unit_is_square,
 )
@@ -112,7 +113,7 @@ class SymbolAlgebra:
         return self.degree * self.degree
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, SymbolAlgebra)
             and other.tower == self.tower
             and other.degree == self.degree
@@ -353,17 +354,33 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, out)
 
     def __mul__(self, other):
+        """x*y.  A factor that is one term c i^k j^l, c an exact constant of
+        the base field, skips the kernel when no key wraps: the other's terms
+        are moved and scaled (_constant_term_product), with the kernel's
+        windows, since that factor is exact at exponent 0 at every level."""
         self._check(other)
+        if len(self.coeffs) == 1 or len(other.coeffs) == 1:
+            product = _constant_term_product(self, other)
+            if product is not None:
+                return product
         return _sum_of_products(self.algebra, [(self, other)])
 
     def scale(self, c) -> "AlgebraElement":
-        if isinstance(c, FieldElement):
-            return AlgebraElement(
-                self.algebra, {kl: v.scale(c) for kl, v in self.coeffs.items()}
-            )
-        return AlgebraElement(
-            self.algebra, {kl: v * c for kl, v in self.coeffs.items()}
-        )
+        """c*x for c in the base field or in the tower.  An exact constant c
+        of the tower scales by its base-field value, with no tower product
+        and the product's windows (laurent._payload_scaled); an exact zero c
+        gives the zero element, as the product does."""
+        alg = self.algebra
+        if not isinstance(c, FieldElement):
+            if not isinstance(c, TowerElement) or c.tower != alg.tower:
+                raise DescriptorMismatchError("elements of different towers combined")
+            if c.is_zero():
+                return alg.zero()
+            value = _payload_constant(c.payload)
+            if value is None:
+                return AlgebraElement(alg, {kl: v * c for kl, v in self.coeffs.items()})
+            c = value
+        return AlgebraElement(alg, {kl: v.scale(c) for kl, v in self.coeffs.items()})
 
     def __pow__(self, exponent: int):
         return _binary_power(self, exponent, self.algebra.one())
@@ -587,6 +604,33 @@ class AlgebraElement:
         return f"<{self}>"
 
 
+def _constant_term_product(x: AlgebraElement, y: AlgebraElement) -> AlgebraElement | None:
+    """x*y when x or y is one term c i^k j^l with c an exact constant of the
+    base field and no key wraps past i^(n-1) or j^(n-1), else None.  Each
+    term of the other factor moves to its key, scaled by c omega^m with m
+    = l1 k2 for the left key (k1, l1) and the right (k2, l2), and kept as it
+    is when that is 1.  The windows are the kernel's: by the rule of
+    laurent._product_bound a factor exact at exponent 0 keeps the other's
+    bound at every level and adds no term, and distinct keys meet no sum."""
+    alg = x.algebra
+    n, one = alg.degree, alg._omega_pow[0]
+    for left, term, other in ((True, x, y), (False, y, x)):
+        if len(term.coeffs) != 1:
+            continue
+        ((k, l), c), = term.coeffs.items()
+        c = _payload_constant(c.payload)
+        if c is None:
+            continue
+        out = {}
+        for (k2, l2), v in other.coeffs.items():
+            if k + k2 >= n or l + l2 >= n:
+                return None
+            f = c * alg._omega_pow[(l * k2 if left else l2 * k) % n]
+            out[(k + k2, l + l2)] = v if f == one else v.scale(f)
+        return AlgebraElement(alg, out)
+    return None
+
+
 def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
     """The sum of the normal-form products x*y over the pairs (x, y), via
     j^l i^k = omega^(lk) i^k j^l.
@@ -605,6 +649,9 @@ def _sum_of_products(alg: SymbolAlgebra, pairs) -> AlgebraElement:
     exponent of s, and a sum's bound is the least bound of its summands.
     A truncated a or b would read the least exponent of a sum, which
     cancellation can raise, so then each wrapping term pair is folded alone.
+    `AlgebraElement.__mul__` does not call it for a factor that is one term
+    with an exact constant when no key wraps (_constant_term_product), whose
+    terms and windows are the ones formed here.
     """
     n, ring = alg.degree, alg.tower.top_ring()
     sums: dict = {}

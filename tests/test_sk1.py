@@ -786,23 +786,33 @@ def test_witness_batch_computes_the_norm_of_j_once(monkeypatch):
 @pytest.mark.parametrize(
     "text, counts",
     [
+        # (products on both routes, the kernel's share of them)
         # conjugation by j is tau: e's norm chain is the resolvent's prefixes
-        ("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", {"norm": 2, "resolvent": 3}),
+        (
+            "symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))",
+            ({"norm": 2, "resolvent": 3}, {"batch": 7, "norm": 2, "resolvent": 3, "verify": 1}),
+        ),
         # b = x + y truncates the inverse of j: sigma is two products, and the
         # resolvent forms its own prefixes with them
-        ("symbol(n=3, omega=2, a=x, b=x+y) over F7((x))((y))", {"norm": 2, "resolvent": 13}),
+        (
+            "symbol(n=3, omega=2, a=x, b=x+y) over F7((x))((y))",
+            ({"norm": 2, "resolvent": 13}, {"batch": 7, "norm": 2, "resolvent": 9, "verify": 1}),
+        ),
     ],
 )
 def test_witness_batch_job_products(monkeypatch, text, counts):
-    """The algebra products of one batch job, by stage.  The norm of e in
-    F[i] is its conjugate chain, n - 1 products (Berkowitz made 8), and the
-    resolvent's only check is verify's three products: the two-check flow
-    made 6 and 16 in the resolvent.  Making e (c, its inverse, the
-    commutator) and the sample's powers of e take 9."""
+    """The algebra products of one batch job, by stage, on both routes.  The
+    norm of e in F[i] is its conjugate chain, n - 1 products (Berkowitz made
+    8), and the resolvent's only check is verify's three products: the
+    two-check flow made 6 and 16 in the resolvent.  Making e (c, its
+    inverse, the commutator) and the sample's powers of e take 9.  The
+    products by a unit monomial (j z in a two-product conjugation, c j in
+    the commutator, both products by j in verify) move terms instead of
+    going through the kernel."""
     alg = parse_algebra(text, 10)
     alg.verify_splitting_relations()
-    stage, made = ["batch"], {}
-    real = symbol._sum_of_products
+    stage, made, kernel_made = ["batch"], {}, {}
+    real, real_moved = symbol._sum_of_products, symbol._constant_term_product
 
     def staged(name, func):
         def run(*args, **kwargs):
@@ -816,15 +826,25 @@ def test_witness_batch_job_products(monkeypatch, text, counts):
 
     def products(alg, pairs):
         made[stage[0]] = made.get(stage[0], 0) + 1
+        kernel_made[stage[0]] = kernel_made.get(stage[0], 0) + 1
         return real(alg, pairs)
 
+    def moved(x, y):
+        product = real_moved(x, y)
+        if product is not None:
+            made[stage[0]] = made.get(stage[0], 0) + 1
+        return product
+
     monkeypatch.setattr(symbol, "_sum_of_products", products)
+    monkeypatch.setattr(symbol, "_constant_term_product", moved)
     monkeypatch.setattr(sk1, "certify_norm_one", staged("norm", certify_norm_one))
     monkeypatch.setattr(sk1, "hilbert90_decompose", staged("resolvent", sk1.hilbert90_decompose))
     monkeypatch.setattr(CommutatorWitness, "verify", staged("verify", CommutatorWitness.verify))
     (entry,) = sk1_witness_batch(alg, count=1, seed=0)
     assert entry["verified"] is True
-    assert made == {"batch": 9, **counts, "verify": 3}
+    totals, kernel = counts
+    assert made == {"batch": 9, **totals, "verify": 3}
+    assert kernel_made == kernel
 
 
 def _plain(e):

@@ -8,6 +8,7 @@ import pytest
 
 from valdiv import laurent, symbol
 from valdiv.errors import (
+    DescriptorMismatchError,
     FieldConstructionError,
     InvariantBreachError,
     NotAUnitError,
@@ -32,6 +33,7 @@ from oracles import (
     left_regular_det,
     pairwise_algebra_product,
     pairwise_l_dot,
+    series_invariant_breaches,
     series_plain,
     splitting_trace,
 )
@@ -761,6 +763,151 @@ def test_sum_of_products_leaves_out_keys_no_product_reaches():
     assert (0, 0) not in got.coeffs
     assert got.coeffs[(1, 0)] == x * y + y * x
     assert (2, 0) not in got.coeffs
+
+
+# --- products by one constant term, and scaling by a tower constant -------------
+
+# F_p, F_p[w]/(f) and Q, each with a primitive n-th root of unity, n = 1...5
+_CONSTANT_TERM_CASES = (
+    [("F61", height, n) for height in (1, 2) for n in range(1, 6)]
+    + [("F11[w]/(w^2-2)", height, n) for height in (1, 2) for n in range(1, 6)]
+    + [("Q", height, n) for height in (1, 2) for n in (1, 2)]
+)
+
+
+def _constant_term_algebras(base, height, n):
+    """The algebra of _product_sum_algebra, whose a is truncated, and one
+    with exact a = x + (outermost variable) and b = (outermost variable)."""
+    outer = _VARIABLES[height - 1]
+    tower = "".join(f"(({v}))" for v in _VARIABLES[:height])
+    exact = parse_algebra(f"symbol(n={n}, omega=auto, a=x+{outer}, b={outer}) over {base}{tower}", 8)
+    return [_product_sum_algebra(base, height, n), exact]
+
+
+def _constants(tower):
+    """Exact tower constants: 1, a prime-field value, and w over F_p[w]/(f)."""
+    base = tower.base
+    values = [base.one(), base.element(3 if base.char else Fraction(-2, 3))]
+    if isinstance(base, ExtensionField):
+        values.append(base.generator())
+    return [tower.constant(c) for c in values]
+
+
+@pytest.mark.parametrize(
+    "base, height, n",
+    _CONSTANT_TERM_CASES,
+    ids=[f"{b}/h{h}/n{n}" for b, h, n in _CONSTANT_TERM_CASES],
+)
+def test_products_by_one_constant_term_match_the_pairwise_products(base, height, n):
+    """c i^k j^l times an exact or truncated element, on either side, for
+    every key and every exact constant c, equals the pairwise oracle in
+    every coefficient, every bound at every level and the key order.  The
+    terms are moved unless a key wraps, and then the kernel forms the
+    product; a coefficient that is not an exact constant always goes to the
+    kernel."""
+    for alg in _constant_term_algebras(base, height, n):
+        tower = alg.tower
+        rng = random.Random(f"constant terms {base}/{height}/{n}/{alg.a}")
+        operands = _product_sum_operands(alg, rng)
+        operands.append(random_algebra_element(alg, rng, terms=4))
+        keys = [(k, l) for k in range(n) for l in range(n)]
+        for c in _constants(tower):
+            for k, l in keys:
+                m = alg.monomial(k, l, c)
+                for z in operands + [alg.monomial(*key) for key in keys]:
+                    for x, y in ((m, z), (z, m)):
+                        wraps = any(
+                            ka + kb >= n or la + lb >= n
+                            for ka, la in x.coeffs
+                            for kb, lb in y.coeffs
+                        )
+                        moved = symbol._constant_term_product(x, y)
+                        assert (moved is None) == wraps
+                        product = x * y
+                        assert _algebra_plain(product) == _algebra_plain(pairwise_algebra_product(x, y))
+                        for coeff in product.coeffs.values():
+                            assert series_invariant_breaches(coeff.payload) == []
+        # neither a truncated constant nor a non-constant coefficient moves terms
+        x_var = tower.var("x")
+        truncated_unit = (tower.one() + x_var).inv()
+        assert not truncated_unit.is_exact()
+        z = alg.scalar(x_var) + alg.monomial(n - 1, n - 1, x_var)
+        for coeff in (x_var, truncated_unit):
+            m = alg.monomial(0, 0, coeff)
+            assert symbol._constant_term_product(m, z) is None
+            assert symbol._constant_term_product(z, m) is None
+
+
+@pytest.mark.parametrize(
+    "base, height, n",
+    _CONSTANT_TERM_CASES,
+    ids=[f"{b}/h{h}/n{n}" for b, h, n in _CONSTANT_TERM_CASES],
+)
+def test_scaling_by_a_tower_constant_is_scaling_by_its_value(monkeypatch, base, height, n):
+    """z.scale(c) for an exact tower constant c makes no tower product and
+    equals z scaled by c's base-field value, each coefficient's tower
+    product by c, and the pairwise product by alg.scalar(c), in every
+    coefficient and bound at every level; an exact zero gives the zero
+    element."""
+    real_mul, tower_products = TowerElement.__mul__, []
+
+    def counted(a, b):
+        tower_products.append((a, b))
+        return real_mul(a, b)
+
+    for alg in _constant_term_algebras(base, height, n):
+        tower = alg.tower
+        rng = random.Random(f"scale {base}/{height}/{n}/{alg.a}")
+        for z in _product_sum_operands(alg, rng):
+            for c in _constants(tower):
+                (value,) = (part for _, part in laurent._payload_parts(c.payload))
+                with monkeypatch.context() as patch:
+                    patch.setattr(TowerElement, "__mul__", counted)
+                    scaled = z.scale(c)
+                assert tower_products == []
+                got = _algebra_plain(scaled)
+                assert got == _algebra_plain(z.scale(value))
+                by_products = AlgebraElement(alg, {kl: v * c for kl, v in z.coeffs.items()})
+                assert got == _algebra_plain(by_products)
+                assert got == _algebra_plain(pairwise_algebra_product(z, alg.scalar(c)))
+                for coeff in scaled.coeffs.values():
+                    assert series_invariant_breaches(coeff.payload) == []
+            zero = z.scale(tower.zero())
+            assert zero.coeffs == {} and zero == alg.zero()
+
+
+def test_constant_routes_refuse_other_towers_and_algebras():
+    """A constant of another tower, even its zero, cannot scale, and a
+    monomial of another algebra cannot multiply, on either side."""
+    alg = parse_algebra("symbol(n=3, omega=2, a=x+y, b=y) over F7((x))((y))", 8)
+    other = parse_algebra("symbol(n=3, omega=2, a=x, b=t) over F7((x))((t))", 8)
+    z = alg.one() + alg.i() * alg.j()
+    for c in (other.tower.constant(3), other.tower.zero(), other.tower.var("t")):
+        with pytest.raises(DescriptorMismatchError):
+            z.scale(c)
+        with pytest.raises(DescriptorMismatchError):
+            alg.zero().scale(c)
+    for m in (other.j(), other.monomial(1, 1, other.tower.constant(2))):
+        with pytest.raises(DescriptorMismatchError):
+            m * z
+        with pytest.raises(DescriptorMismatchError):
+            z * m
+
+
+def test_separate_parses_of_one_algebra_are_equal_and_combine():
+    """Equality tries identity first; two parses of the same text are still
+    equal at every descriptor, and their elements combine."""
+    text = "symbol(n=3, omega=2, a=x+y, b=y) over F7[w]/(w^2-3)((x))((y))"
+    first, second = parse_algebra(text, 8), parse_algebra(text, 8)
+    assert first is not second and first.tower is not second.tower
+    assert first == second and first.tower == second.tower
+    assert first.tower.top_ring() == second.tower.top_ring()
+    assert first.tower.base is not second.tower.base
+    assert first.tower.base == second.tower.base
+    x, y = first.i() + first.j(), second.i() * second.j()
+    assert _algebra_plain(x * y) == _algebra_plain(pairwise_algebra_product(x, y))
+    assert x + y == y + x and (x - y) + y == x
+    assert second.j() * first.i() == first.scalar(first.omega) * (second.i() * first.j())
 
 
 # --- the reduced trace from the normal form --------------------------------------
